@@ -301,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized runs")
-    parser.add_argument("--jobs", type=int, default=None, help="worker count")
     parser.add_argument("--config", default=None, help="flat key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -401,7 +400,6 @@ def main(argv: list[str] | None = None) -> int:
             path=args.config,
             output="json" if args.json else None,
             seed=args.seed,
-            jobs=args.jobs,
         )
         return _DISPATCH[args.command](args, cfg)
     except ResourceCapError as exc:

@@ -1,12 +1,11 @@
 """Runtime configuration: caps, tolerances, and output mode.
 
 Values come from (lowest to highest precedence) the defaults below, an
-optional flat TOML-style config file of ``key = value`` lines, the
-FS_RECON_JOBS environment variable, and explicit flags.
+optional flat TOML-style config file of ``key = value`` lines, and explicit
+flags.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 
 from .errors import DomainError
@@ -21,12 +20,11 @@ class Config:
     search_budget: int = 5_000_000
     tolerance: float = 1e-8
     precision_bits: int = 100
-    jobs: int = 1
     output: str = "text"
     seed: int = 0
 
     def validate(self) -> Config:
-        for name in ("fs_cap", "rank_cap", "search_budget", "precision_bits", "jobs"):
+        for name in ("fs_cap", "rank_cap", "search_budget", "precision_bits"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be positive")
         if not 0 < self.tolerance < 1:
@@ -67,9 +65,8 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def load_config(path: str | None = None, env: dict | None = None, **overrides) -> Config:
-    """Merge file, environment, and flag overrides into a validated Config."""
-    env = os.environ if env is None else env
+def load_config(path: str | None = None, **overrides) -> Config:
+    """Merge file and flag overrides into a validated Config."""
     values: dict = {}
     if path:
         file_values = parse_config_file(path)
@@ -78,11 +75,6 @@ def load_config(path: str | None = None, env: dict | None = None, **overrides) -
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         values.update(file_values)
-    if "FS_RECON_JOBS" in env:
-        try:
-            values["jobs"] = int(env["FS_RECON_JOBS"])
-        except ValueError as exc:
-            raise DomainError("FS_RECON_JOBS must be an integer") from exc
     for key, value in overrides.items():
         if value is not None:
             values[key] = value

@@ -6,13 +6,15 @@ residues.  The inverse reads back, for each point x, only the slices through
 x: f(x) is the weighted sum of Rf(hom, hom(x)) with a rational weight per
 homomorphism that depends only on which primes divide all of its values.
 
-No floating point is used anywhere.  Rationals at the boundary are reduced
-to a common denominator and the integer cores run either in pure Python or
-through numpy int64 kernels (with overflow bounds checked up front; the
-arbitrary-precision object path takes over when a bound would not fit).
-The transform is not surjective, so ``invert`` does not validate its input;
-``mass_consistent`` is the explicit sanity check, and the character-sum
-route ``fourier_invert_at_zero`` provides an independent second inverse.
+No floating point is used anywhere.  Rationals are reduced to a common
+denominator, and forward, invert and verify share one separable integer
+kernel: a sweep that turns one coordinate axis at a time into a coefficient
+axis by a shift-and-add along the residue axis, in d n^(d+2) operations and
+n^(d+1) memory; numpy int64 when a bound checked up front caps every partial
+sum, exact Python integers (object dtype) otherwise.  The transform is not
+surjective, so ``invert`` does not validate its input; ``mass_consistent``
+is the explicit sanity check, and the character-sum route
+``fourier_invert_at_zero`` provides an independent second inverse.
 """
 from __future__ import annotations
 
@@ -46,9 +48,25 @@ __all__ = [
     "random_table",
 ]
 
-_NUMPY_MIN_POINTS = 200
-_PSIX_CACHE_MAX_ELEMS = 25_000_000
 _INT64_SAFE = 2**62
+
+
+def _check_dims(n: int, d: int) -> None:
+    if n < 1 or d < 1:
+        raise DomainError(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
+
+
+def _index(n: int, d: int, coords) -> int:
+    """Position of a point or coefficient vector of (Z/nZ)^d in
+    lexicographic order; rejects one of the wrong length or out of range."""
+    if len(coords) != d:
+        raise DomainError(f"expected {d} coordinates, got {list(coords)}")
+    idx = 0
+    for a in coords:
+        if not 0 <= a < n:
+            raise DomainError(f"coordinate {a} out of range [0, {n})")
+        idx = idx * n + a
+    return idx
 
 
 @dataclass(frozen=True)
@@ -60,10 +78,7 @@ class Hom:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.d:
-            raise DomainError(f"expected {self.d} coefficients")
-        if any(not 0 <= a < self.n for a in self.coeffs):
-            raise DomainError(f"coefficients must lie in [0, {self.n})")
+        _index(self.n, self.d, self.coeffs)
 
     @classmethod
     def reduced(cls, n: int, d: int, coeffs: Iterable[int]) -> Hom:
@@ -94,23 +109,24 @@ def prime_divides_hom(p: int, hom: Hom) -> bool:
     return g % p == 0
 
 
-def inversion_weight(hom: Hom) -> Fraction:
-    """The closed-form inverting weight: product of (1 - p^(d-1)) over the
-    primes dividing the homomorphism, divided by n^(d-1) phi(n)."""
-    n, d = hom.n, hom.d
-    g = math.gcd(math.gcd(*hom.coeffs), n)
+def _closed_form_weight(n: int, d: int, g: int) -> tuple[int, int]:
+    """(numerator, denominator) of `inversion_weight` for a homomorphism
+    whose coefficients have gcd g with n."""
     num = 1
     for p in prime_factors(n):
         if g % p == 0:
             num *= 1 - p ** (d - 1)
-    return Fraction(num, n ** (d - 1) * totient(n))
+    return num, n ** (d - 1) * totient(n)
+
+
+def inversion_weight(hom: Hom) -> Fraction:
+    """The closed-form inverting weight: product of (1 - p^(d-1)) over the
+    primes dividing the homomorphism, divided by n^(d-1) phi(n)."""
+    g = math.gcd(math.gcd(*hom.coeffs), hom.n)
+    return Fraction(*_closed_form_weight(hom.n, hom.d, g))
 
 
 # -- tables ------------------------------------------------------------------
-
-
-def _fraction_from_str(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _fraction_to_str(fr: Fraction) -> str:
@@ -123,6 +139,7 @@ class FunctionTable:
     __slots__ = ("n", "d", "values")
 
     def __init__(self, n: int, d: int, values: Mapping[tuple, Fraction]):
+        _check_dims(n, d)
         if len(values) != n**d:
             raise DomainError(
                 f"table has {len(values)} entries, expected {n}^{d} = {n ** d}"
@@ -130,8 +147,7 @@ class FunctionTable:
         canon: dict[tuple, Fraction] = {}
         for key, v in values.items():
             key = tuple(int(c) for c in key)
-            if len(key) != d or any(not 0 <= c < n for c in key):
-                raise DomainError(f"bad point {key} for (Z/{n})^{d}")
+            _index(n, d, key)
             canon[key] = v if type(v) is Fraction else Fraction(v)
         self.n = n
         self.d = d
@@ -183,7 +199,7 @@ class FunctionTable:
     @classmethod
     def from_obj(cls, obj: dict) -> FunctionTable:
         n, d = int(obj["n"]), int(obj["d"])
-        vals = {tuple(k): _fraction_from_str(v) for k, v in obj["values"]}
+        vals = {tuple(k): Fraction(v) for k, v in obj["values"]}
         return cls(n, d, vals)
 
     def to_json(self) -> str:
@@ -201,8 +217,9 @@ def random_table(
     numerator_bound: int = 99,
     denominators: tuple[int, ...] = (1, 2, 3, 4, 6, 8),
 ) -> FunctionTable:
-    """Random rational table; the default denominators keep the integer fast
-    path inside int64 for every modulus in the supported range."""
+    """Random rational table; the default denominators keep the integer
+    kernel inside int64 for every modulus in the supported range."""
+    _check_dims(n, d)
     vals = {
         x: Fraction(rng.randint(-numerator_bound, numerator_bound), rng.choice(denominators))
         for x in iter_point_tuples(n, d)
@@ -220,6 +237,7 @@ class RadonImage:
     __slots__ = ("n", "d", "_nums", "_den")
 
     def __init__(self, n: int, d: int, nums: list[int], den: int):
+        _check_dims(n, d)
         if den <= 0:
             raise DomainError("denominator must be positive")
         if len(nums) != n**d * n:
@@ -229,23 +247,13 @@ class RadonImage:
         self._nums = nums
         self._den = den
 
-    def _hom_index(self, coeffs: Iterable[int]) -> int:
-        idx = 0
-        for a in coeffs:
-            if not 0 <= a < self.n:
-                raise DomainError(f"coefficient {a} out of range")
-            idx = idx * self.n + a
-        return idx
-
     def value(self, coeffs, c: int) -> Fraction:
-        return Fraction(self._nums[self._hom_index(coeffs) * self.n + c % self.n], self._den)
+        idx = _index(self.n, self.d, coeffs) * self.n + c % self.n
+        return Fraction(self._nums[idx], self._den)
 
     def mass_by_hom(self) -> list[Fraction]:
-        n = self.n
-        return [
-            Fraction(sum(self._nums[i * n : (i + 1) * n]), self._den)
-            for i in range(n**self.d)
-        ]
+        n, den = self.n, self._den
+        return [Fraction(sum(self._nums[i : i + n]), den) for i in range(0, len(self._nums), n)]
 
     def mass_consistent(self) -> bool:
         """Every homomorphism must see the same total mass."""
@@ -264,30 +272,22 @@ class RadonImage:
         return f"RadonImage(n={self.n}, d={self.d})"
 
     def iter_entries(self) -> Iterator[tuple[tuple[int, ...], int, Fraction]]:
-        i = 0
-        for coeffs in iter_point_tuples(self.n, self.d):
-            for c in range(self.n):
-                yield coeffs, c, Fraction(self._nums[i], self._den)
-                i += 1
+        keys = itertools.product(iter_point_tuples(self.n, self.d), range(self.n))
+        for (coeffs, c), num in zip(keys, self._nums):
+            yield coeffs, c, Fraction(num, self._den)
 
     @classmethod
     def from_entries(cls, n: int, d: int, entries: Mapping) -> RadonImage:
         """Build from a {(coeffs, c): value} mapping; missing entries are 0."""
-        fracs = {k: Fraction(v) for k, v in entries.items()}
-        den = math.lcm(*(fr.denominator for fr in fracs.values())) if fracs else 1
-        nums = [0] * (n**d * n)
-        for (coeffs, c), fr in fracs.items():
-            idx = 0
-            for a in coeffs:
-                idx = idx * n + a % n
-            nums[idx * n + c % n] = fr.numerator * (den // fr.denominator)
-        return cls(n, d, nums, den)
+        fracs = [Fraction(0)] * (n**d * n)
+        for (coeffs, c), v in entries.items():
+            fracs[_index(n, d + 1, [a % n for a in (*coeffs, c)])] = Fraction(v)
+        return cls(n, d, *_common_ints(fracs))
 
     def perturbed(self, coeffs, c: int, delta) -> RadonImage:
-        entries = {(co, cc): v for co, cc, v in self.iter_entries()}
-        key = (tuple(coeffs), c % self.n)
-        entries[key] = entries[key] + Fraction(delta)
-        return RadonImage.from_entries(self.n, self.d, entries)
+        fracs = [Fraction(num, self._den) for num in self._nums]
+        fracs[_index(self.n, self.d, coeffs) * self.n + c % self.n] += Fraction(delta)
+        return RadonImage(self.n, self.d, *_common_ints(fracs))
 
     def to_obj(self) -> dict:
         return {
@@ -301,12 +301,20 @@ class RadonImage:
 
     @classmethod
     def from_obj(cls, obj: dict) -> RadonImage:
+        """Parse a complete image: exactly one entry per (coeffs, c), every
+        coefficient and residue in [0, n)."""
         n, d = int(obj["n"]), int(obj["d"])
-        entries = {
-            (tuple(coeffs), int(c)): _fraction_from_str(v)
-            for coeffs, c, v in obj["entries"]
-        }
-        return cls.from_entries(n, d, entries)
+        _check_dims(n, d)
+        rows = obj["entries"]
+        if len(rows) != n ** (d + 1):
+            raise DomainError(f"image has {len(rows)} entries, expected {n}^{d + 1}")
+        fracs: list = [None] * len(rows)
+        for coeffs, c, v in rows:
+            # Entries are laid out as the points (coeffs, c) of (Z/nZ)^(d+1).
+            fracs[_index(n, d + 1, [*coeffs, int(c)])] = Fraction(v)
+        if any(fr is None for fr in fracs):
+            raise DomainError("image lists some (coeffs, c) entry twice")
+        return cls(n, d, *_common_ints(fracs))
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), separators=(",", ":"))
@@ -318,35 +326,6 @@ class RadonImage:
 
 # -- integer kernels ----------------------------------------------------------
 
-_psix_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _points_array(n: int, d: int) -> np.ndarray:
-    return np.array(list(iter_point_tuples(n, d)), dtype=np.int64).reshape(n**d, d)
-
-
-def _psix_rows(n: int, d: int, block: int = 512) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, rows) blocks of the matrix hom(x) over homs x points."""
-    key = (n, d)
-    big = n**d
-    cached = _psix_cache.get(key)
-    if cached is not None:
-        yield 0, cached
-        return
-    pts = _points_array(n, d)
-    if big * big <= _PSIX_CACHE_MAX_ELEMS:
-        full = np.empty((big, big), dtype=np.uint16)
-        for start in range(0, big, block):
-            stop = min(start + block, big)
-            full[start:stop] = (pts[start:stop] @ pts.T) % n
-        _psix_cache.clear()
-        _psix_cache[key] = full
-        yield 0, full
-        return
-    for start in range(0, big, block):
-        stop = min(start + block, big)
-        yield start, ((pts[start:stop] @ pts.T) % n).astype(np.uint16)
-
 
 def _common_ints(fracs: Iterable[Fraction]) -> tuple[list[int], int]:
     fracs = list(fracs)
@@ -354,39 +333,46 @@ def _common_ints(fracs: Iterable[Fraction]) -> tuple[list[int], int]:
     return [fr.numerator * (den // fr.denominator) for fr in fracs], den
 
 
-def _forward_python(n: int, d: int, nums: list[int]) -> list[int]:
-    pts = list(iter_point_tuples(n, d))
-    out = [0] * (len(pts) * n)
-    for i, h in enumerate(pts):
-        base = i * n
-        for j, x in enumerate(pts):
-            c = sum(a * b for a, b in zip(h, x)) % n
-            out[base + c] += nums[j]
-    return out
+def _int_dtype(bound: int):
+    """int64 when `bound` caps every partial sum, else exact Python ints."""
+    return np.int64 if bound < _INT64_SAFE else object
 
 
-def _forward_numpy(n: int, d: int, nums: list[int], exact_object: bool) -> list[int]:
-    big = n**d
-    dtype = object if exact_object else np.int64
-    fnum = np.array(nums, dtype=dtype)
-    out = np.zeros((big, n), dtype=dtype)
-    for start, rows in _psix_rows(n, d):
-        for r in range(rows.shape[0]):
-            np.add.at(out[start + r], rows[r], fnum)
-    return out.reshape(-1).tolist() if not exact_object else list(out.reshape(-1))
+def _step(g: np.ndarray, n: int, sign: int) -> np.ndarray:
+    """One axis of the sweep, a shift-and-add along the residue axis.  g has
+    shape (n, n, rest): the axis b to consume, the residue c, then the other
+    axes, next to consume first.  The result keeps that layout and appends an
+    axis a: out[r0, c, r1, a] = sum_b g[b, (c + sign*a*b) mod n, r0, r1]."""
+    blocks = g.reshape(n, -1)
+    size = blocks.shape[1]
+    out = np.empty((n, n, size // n**2, n), dtype=g.dtype)
+    for a in range(n):
+        acc = blocks[0].copy()
+        for b in range(1, n):
+            # Rolling the residue by k rolls the flat block by k * rest.
+            j = sign * a * b % n * (size // n)
+            acc[: size - j] += blocks[b, j:]
+            acc[size - j :] += blocks[b, :j]
+        out[..., a] = acc.reshape(n, n, -1).swapaxes(0, 1)
+    return out.reshape(n, n, -1)
 
 
 def forward(f: FunctionTable) -> RadonImage:
-    """Tabulate all fiber sums of f; exact."""
+    """Tabulate all fiber sums of f; exact.  The first coordinate axis is
+    scattered to the residue h1*x1; each later axis is one `_step`."""
     n, d = f.n, f.d
-    big = n**d
     nums, den = _common_ints(f.values[x] for x in iter_point_tuples(n, d))
-    if big < _NUMPY_MIN_POINTS:
-        flat = _forward_python(n, d, nums)
-    else:
-        unsafe = sum(abs(v) for v in nums) >= _INT64_SAFE
-        flat = _forward_numpy(n, d, nums, exact_object=unsafe)
-    return RadonImage(n, d, flat, den)
+    # Each partial sum adds up distinct points of f.
+    g = np.array(nums, dtype=_int_dtype(sum(map(abs, nums)))).reshape(n, -1)
+    head = n if d > 1 else 1  # the axis `_step` consumes next; none when d = 1
+    out = np.zeros((head, n, g.shape[1] // head, n), dtype=g.dtype)
+    a = np.arange(n)
+    for b in range(n):
+        out[:, a * b % n, :, a] += g[b].reshape(head, -1)
+    for _ in range(d - 1):
+        out = _step(out.reshape(n, n, -1), n, -1)
+    flat = out.reshape(head, n, -1).swapaxes(1, 2).reshape(-1)  # (h1..hd, c) order
+    return RadonImage(n, d, flat.tolist(), den)
 
 
 def _weight_ints(weights, n: int, d: int) -> tuple[list[int], int]:
@@ -399,113 +385,54 @@ def _weight_ints(weights, n: int, d: int) -> tuple[list[int], int]:
 def _builtin_weight_ints(n: int, d: int) -> tuple[list[int], int]:
     """Closed-form weights as integers over n^(d-1) phi(n); the numerator
     depends only on gcd(coeffs, n), so it is a divisor lookup."""
-    primes = prime_factors(n)
-    by_divisor = {}
-    for g in divisors(n):
-        num = 1
-        for p in primes:
-            if g % p == 0:
-                num *= 1 - p ** (d - 1)
-        by_divisor[g] = num
+    by_divisor = {g: _closed_form_weight(n, d, g) for g in divisors(n)}
     nums = [
-        by_divisor[math.gcd(math.gcd(*coeffs), n)]
+        by_divisor[math.gcd(math.gcd(*coeffs), n)][0]
         for coeffs in iter_point_tuples(n, d)
     ]
-    return nums, n ** (d - 1) * totient(n)
+    return nums, by_divisor[n][1]
+
+
+def _backproject(g: np.ndarray, wnums: list[int], n: int, d: int) -> np.ndarray:
+    """sum_h w(h) image[h, h.x] for every point x, in point order, from an
+    image g of shape (n, n, n^(d-1)) laid out (h1, c, h2..hd); g is
+    overwritten.  The adjoint sweep: `_step` with the opposite sign on d-1
+    axes, then a gather at residue 0 on the last."""
+    g *= np.array(wnums, dtype=g.dtype).reshape(n, 1, -1)
+    for _ in range(d - 1):
+        g = _step(g, n, 1)
+    a = np.arange(n)
+    out = np.zeros((n, g.shape[2]), dtype=g.dtype)
+    for b in range(n):
+        out += g[b, a * b % n]
+    return out.T.reshape(-1)
 
 
 def invert(img: RadonImage, weights: Callable[[Hom], Fraction] | None = None) -> FunctionTable:
     """Reconstruct the table from its image: f(x) is the weighted sum of the
     slices Rf(hom, hom(x)).  The input is trusted to be a genuine image."""
     n, d = img.n, img.d
-    big = n**d
     wnums, wden = _weight_ints(weights, n, d)
+    # Each partial sum takes at most one weighted image entry per hom.
+    bound = sum(map(abs, wnums)) * max(map(abs, img._nums), default=0)
+    image = np.array(img._nums, dtype=_int_dtype(bound)).reshape(n, -1, n)
+    raw = _backproject(np.ascontiguousarray(image.swapaxes(1, 2)), wnums, n, d).tolist()
     den = img._den * wden
-    if big < _NUMPY_MIN_POINTS:
-        pts = list(iter_point_tuples(n, d))
-        acc = [0] * big
-        for i, h in enumerate(pts):
-            w = wnums[i]
-            if not w:
-                continue
-            base = i * n
-            for j, x in enumerate(pts):
-                c = sum(a * b for a, b in zip(h, x)) % n
-                acc[j] += w * img._nums[base + c]
-        raw = acc
-    else:
-        max_r = max(map(abs, img._nums), default=0)
-        bound = sum(abs(w) for w in wnums) * max_r
-        exact_object = bound >= _INT64_SAFE
-        dtype = object if exact_object else np.int64
-        rmat = np.array(img._nums, dtype=dtype).reshape(big, n)
-        warr = np.array(wnums, dtype=dtype)
-        acc = np.zeros(big, dtype=dtype)
-        for start, rows in _psix_rows(n, d):
-            for r in range(rows.shape[0]):
-                w = warr[start + r]
-                if w:
-                    acc += w * rmat[start + r][rows[r]]
-        raw = acc.tolist() if not exact_object else list(acc)
-    values = {
-        x: Fraction(raw[j], den) for j, x in enumerate(iter_point_tuples(n, d))
-    }
+    values = {x: Fraction(v, den) for x, v in zip(iter_point_tuples(n, d), raw)}
     return FunctionTable._trusted(n, d, values)
-
-
-def _verify_roll(n: int, d: int, wnums: list[int], den: int, exact_object: bool) -> bool:
-    """Backprojection by cyclic shifts: after one pass per axis, slot c of
-    U[x] holds the sum of weights over homs with hom(x) = -c, so slot 0 is
-    the criterion sum.  Cost n^(d+2) per axis, all integer."""
-    dtype = object if exact_object else np.int64
-    lam = np.array(wnums, dtype=dtype).reshape((n,) * d)
-    shape = (n,) * d + (n,)
-    u = np.zeros(shape, dtype=dtype)
-    u[..., 0] = lam
-    for axis in range(d):
-        um = np.moveaxis(u, axis, 0)
-        v = np.zeros(shape, dtype=dtype)
-        vm = np.moveaxis(v, axis, 0)
-        for x in range(n):
-            acc = np.zeros(um.shape[1:], dtype=dtype)
-            for p in range(n):
-                s = (-(x * p)) % n
-                acc += np.roll(um[p], s, axis=-1) if s else um[p]
-            vm[x] = acc
-        u = v
-    flat = u[..., 0].reshape(-1)
-    if flat[0] != den:
-        return False
-    return not any(bool(v) for v in flat[1:]) if exact_object else not flat[1:].any()
 
 
 def verify_inverting(weights: Callable[[Hom], Fraction], n: int, d: int) -> bool:
     """Check the inverting-function criterion exactly: for every point x the
     weights of the homomorphisms vanishing at x must sum to 1 at x = 0 and
-    to 0 elsewhere."""
-    big = n**d
+    to 0 elsewhere.  These sums are the inverse of the image of delta_0,
+    which is [c = 0] on every homomorphism."""
+    _check_dims(n, d)
     wnums, den = _weight_ints(weights, n, d)
-    if big < _NUMPY_MIN_POINTS:
-        pts = list(iter_point_tuples(n, d))
-        sums = [0] * big
-        for i, h in enumerate(pts):
-            w = wnums[i]
-            if not w:
-                continue
-            for j, x in enumerate(pts):
-                if sum(a * b for a, b in zip(h, x)) % n == 0:
-                    sums[j] += w
-        return sums[0] == den and all(v == 0 for v in sums[1:])
-    exact_object = sum(abs(w) for w in wnums) >= _INT64_SAFE
-    if big * big <= 100_000_000:
-        warr = np.array(wnums, dtype=object if exact_object else np.int64)
-        sums = np.zeros(big, dtype=object if exact_object else np.int64)
-        for start, rows in _psix_rows(n, d):
-            sums += warr[start : start + rows.shape[0]] @ (rows == 0)
-        if sums[0] != den:
-            return False
-        return not any(bool(v) for v in sums[1:]) if exact_object else not sums[1:].any()
-    return _verify_roll(n, d, wnums, den, exact_object)
+    delta_image = np.zeros((n, n, n ** (d - 1)), dtype=_int_dtype(sum(map(abs, wnums))))
+    delta_image[:, 0] = 1
+    sums = _backproject(delta_image, wnums, n, d)
+    return int(sums[0]) == den and not sums[1:].any()
 
 
 def product_lift(
@@ -536,16 +463,9 @@ def fourier_invert_at_zero(img: RadonImage) -> Fraction:
     exactly in the n-th cyclotomic field and divided by n^d.  A nonrational
     outcome means the input was not a genuine transform image."""
     n, d = img.n, img.d
-    big = n**d
-    residue_totals = [0] * n
-    nums = img._nums
-    for i in range(big):
-        base = i * n
-        for c in range(n):
-            residue_totals[c] += nums[base + c]
-    poly = [0] * n
-    for c in range(n):
-        poly[(n - c) % n] += residue_totals[c]
+    # Residue c lands on the power w^(-c); slice c of the flat table holds
+    # residue c of every homomorphism.
+    poly = [sum(img._nums[-k % n :: n]) for k in range(n)]
     elem = CycloElement.from_poly(n, poly)
     if not elem.is_rational():
         raise DomainError("character sum is irrational: not a transform image")

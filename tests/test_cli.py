@@ -28,20 +28,11 @@ def test_config_file_and_flag_precedence(tmp_path):
     path = tmp_path / "fsrecon.cfg"
     path.write_text("fs_cap = 30\nseed = 7  # comment\noutput = \"json\"\n")
     assert parse_config_file(str(path)) == {"fs_cap": 30, "seed": 7, "output": "json"}
-    cfg = load_config(str(path), env={})
+    cfg = load_config(str(path))
     assert cfg.fs_cap == 30 and cfg.seed == 7 and cfg.output == "json"
     # Flags win over the file.
-    cfg = load_config(str(path), env={}, seed=9)
+    cfg = load_config(str(path), seed=9)
     assert cfg.seed == 9
-
-
-def test_config_env_override():
-    cfg = load_config(env={"FS_RECON_JOBS": "4"})
-    assert cfg.jobs == 4
-    cfg = load_config(env={"FS_RECON_JOBS": "4"}, jobs=2)
-    assert cfg.jobs == 2
-    with pytest.raises(DomainError):
-        load_config(env={"FS_RECON_JOBS": "many"})
 
 
 def test_config_rejects_bad_values(tmp_path):
@@ -52,7 +43,7 @@ def test_config_rejects_bad_values(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("nonsense_key = 1\n")
     with pytest.raises(DomainError):
-        load_config(str(path), env={})
+        load_config(str(path))
 
 
 # -- verdict commands --------------------------------------------------------------
@@ -160,6 +151,49 @@ def test_radon_bench_command(capsys):
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert row["round_trip_exact"] is True and row["points"] == 9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("radon", "verify", "--n", "3", "--d", "0"),
+        ("radon", "verify", "--n", "0", "--d", "2"),
+        ("radon", "bench", "--n", "3", "--d", "-1"),
+    ],
+)
+def test_radon_rejects_empty_dimensions(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        {"n": 3, "d": 1, "entries": [[[5], 0, "1/1"]]},
+        {"n": 2, "d": 1, "entries": [[[0], c, "1/1"] for c in (0, 1, 2, 3)]},
+        {"n": 2, "d": 1, "entries": [[[a], 0, "1/1"] for a in (0, 0, 1, 1)]},
+        {"n": 2, "d": 1, "entries": [[[0, 0], 0, "1/1"]] * 4},
+        {"n": 3, "d": 1, "entries": [[[2], 2, "1/1"]]},
+        {"n": 2, "d": 1, "entries": [[[a], c, "1/1"] for a in (0, 1) for c in (0, 1, 1)]},
+    ],
+    ids=[
+        "coefficient-and-count",
+        "residue",
+        "repeated-entry",
+        "coefficient-length",
+        "too-few",
+        "too-many",
+    ],
+)
+def test_radon_invert_rejects_malformed_image(tmp_path, capsys, image):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(image))
+    code = main(["radon", "invert", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cyclo_commands(capsys):

@@ -33,6 +33,42 @@ def criterion_oracle(weights, n, d):
     return True
 
 
+def fiber_sums_oracle(f):
+    """Literal double loop over homomorphisms and points, all Fractions."""
+    sums = {(h.coeffs, c): Fraction(0) for h in iter_homs(f.n, f.d) for c in range(f.n)}
+    for h in iter_homs(f.n, f.d):
+        for x in iter_point_tuples(f.n, f.d):
+            sums[h.coeffs, h.apply(x)] += f.value(x)
+    return sums
+
+
+def huge_table(n, d, seed, big=10**30):
+    """Values far past int64, so the kernel runs on Python integers."""
+    rng = random.Random(seed)
+    values = {
+        x: Fraction(rng.randint(-big, big), rng.choice((1, 7))) for x in iter_point_tuples(n, d)
+    }
+    return FunctionTable(n, d, values)
+
+
+def moved_weights(n, d, t, onto):
+    """The closed-form weights with t moved from the hom (1, 0, ...) onto the
+    hom with coefficients `onto` (dropped when None).  For odd n, (2, 0, ...)
+    vanishes at the same points as (1, 0, ...), so moving t there keeps the
+    weights inverting; moving it onto the zero hom keeps only their total."""
+    source = (1,) + (0,) * (d - 1)
+
+    def weights(h):
+        w = inversion_weight(h)
+        if h.coeffs == source:
+            w -= t
+        if h.coeffs == onto:
+            w += t
+        return w
+
+    return weights
+
+
 # -- forward ------------------------------------------------------------------
 
 
@@ -61,20 +97,13 @@ def test_forward_constant_fiber_sizes():
                 assert img.value(h.coeffs, c) == 3
 
 
-def test_forward_python_and_numpy_paths_agree():
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 1), (1, 1), (4, 2), (5, 3), (3, 4), (6, 2)])
+def test_forward_matches_brute_force_fiber_sums(n, d):
     rng = random.Random(14)
-    f = random_table(4, 2, rng)  # 16 points: pure python path
-    g_small = forward(f)
-    # Same data pushed through the vectorized path by faking the threshold.
-    import fsrecon.radon as radon_mod
-
-    old = radon_mod._NUMPY_MIN_POINTS
-    radon_mod._NUMPY_MIN_POINTS = 1
-    try:
-        g_big = forward(f)
-    finally:
-        radon_mod._NUMPY_MIN_POINTS = old
-    assert g_small == g_big
+    for f in (random_table(n, d, rng), huge_table(n, d, seed=n * 10 + d)):
+        img = forward(f)
+        for (coeffs, c), total in fiber_sums_oracle(f).items():
+            assert img.value(coeffs, c) == total
 
 
 def test_mass_conservation_and_dilation_invariance():
@@ -151,6 +180,7 @@ def test_criterion_rejects_corrupted_weights():
         return w + 1 if h.is_zero() else w
 
     assert not verify_inverting(corrupted, 3, 2)
+    assert not verify_inverting(corrupted, 3, 3)
 
 
 def test_criterion_mid_size_numpy_paths():
@@ -158,14 +188,16 @@ def test_criterion_mid_size_numpy_paths():
     assert verify_inverting(inversion_weight, 7, 3)
 
 
-def test_criterion_roll_path_matches_matmul_path():
-    import fsrecon.radon as radon_mod
-
-    wnums, den = radon_mod._weight_ints(inversion_weight, 9, 2)
-    assert radon_mod._verify_roll(9, 2, wnums, den, exact_object=False)
-    bad = list(wnums)
-    bad[0] += 1
-    assert not radon_mod._verify_roll(9, 2, bad, den, exact_object=False)
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 1), (3, 1), (5, 3), (3, 4), (9, 2)])
+def test_criterion_verdicts_match_oracle(n, d):
+    # Moving 1/3 keeps int64; moving 10^30 forces Python integers.
+    cases = [inversion_weight, lambda h: Fraction(0)]
+    for t in (Fraction(1, 3), Fraction(10**30)) if n > 1 else ():
+        cases += [moved_weights(n, d, t, None), moved_weights(n, d, t, (0,) * d)]
+        if n % 2:
+            cases.append(moved_weights(n, d, t, (2,) + (0,) * (d - 1)))
+    for weights in cases:
+        assert verify_inverting(weights, n, d) == criterion_oracle(weights, n, d)
 
 
 # -- inversion ------------------------------------------------------------------
@@ -206,21 +238,11 @@ def test_round_trip_huge_values_object_path():
 
 
 def test_round_trip_huge_values_numpy_object_path():
-    import fsrecon.radon as radon_mod
-
-    rng = random.Random(19)
-    big = 10**25
-    f = FunctionTable(
-        4,
-        3,
-        {x: Fraction(rng.randint(-big, big)) for x in iter_point_tuples(4, 3)},
-    )
-    old = radon_mod._NUMPY_MIN_POINTS
-    radon_mod._NUMPY_MIN_POINTS = 1
-    try:
-        assert invert(forward(f)) == f
-    finally:
-        radon_mod._NUMPY_MIN_POINTS = old
+    f = huge_table(4, 3, seed=19, big=10**25)
+    assert invert(forward(f)) == f
+    # Inverting weights past int64 take the same exact path.
+    g = random_table(5, 3, random.Random(19))
+    assert invert(forward(g), moved_weights(5, 3, Fraction(10**30), (2, 0, 0))) == g
 
 
 def test_slice_locality():
@@ -308,3 +330,15 @@ def test_function_table_json_round_trip():
 def test_function_table_requires_complete_table():
     with pytest.raises(DomainError):
         FunctionTable(3, 1, {(0,): Fraction(1)})
+
+
+@pytest.mark.parametrize("n,d", [(3, 0), (0, 2), (3, -1)])
+def test_entry_points_reject_empty_dimensions(n, d):
+    with pytest.raises(DomainError):
+        verify_inverting(inversion_weight, n, d)
+    with pytest.raises(DomainError):
+        random_table(n, d, random.Random(0))
+    with pytest.raises(DomainError):
+        FunctionTable.from_obj({"n": n, "d": d, "values": [[[], "1/1"]]})
+    with pytest.raises(DomainError):
+        RadonImage.from_obj({"n": n, "d": d, "entries": [[[], 0, "1/1"]]})
