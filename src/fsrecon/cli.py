@@ -145,7 +145,10 @@ def _cmd_cyclo(args, cfg: Config) -> int:
         _emit(cfg, obj, lines)
         return 0 if ok else 1
     if args.action == "kernel-test":
-        vector = tuple(int(v) for v in args.vector.split(","))
+        try:
+            vector = tuple(int(v) for v in args.vector.split(","))
+        except ValueError:
+            raise DomainError(f"--vector needs integers, got {args.vector!r}") from None
         ok = cyclo.kernel_test(args.n, vector)
         _emit(
             cfg,

@@ -78,9 +78,10 @@ class GroupSpec:
 
     @classmethod
     def from_obj(cls, obj: dict) -> GroupSpec:
-        if not isinstance(obj, dict) or "moduli" not in obj:
-            raise DomainError("group object must be {'moduli': [...]}")
-        return cls(obj["moduli"])
+        moduli = obj.get("moduli") if isinstance(obj, dict) else None
+        if type(moduli) is not list or any(type(m) is not int for m in moduli):
+            raise DomainError("group object must be {'moduli': [integers]}")
+        return cls(moduli)
 
 
 def cyclic(n: int) -> GroupSpec:

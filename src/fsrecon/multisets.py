@@ -13,7 +13,6 @@ returning a witness subset when one exists.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -237,9 +236,18 @@ class Multiset:
 
     @classmethod
     def from_obj(cls, obj: dict) -> Multiset:
+        """Parse a document whose coordinates and counts are JSON integers."""
+        if not isinstance(obj, dict):
+            raise DomainError("a multiset must be a JSON object with keys group and elements")
         group = GroupSpec.from_obj(obj.get("group", {}))
-        pairs = [(group.element(coords), m) for coords, m in obj.get("elements", [])]
-        return cls(group, pairs)
+        rows = obj.get("elements", [])
+        if type(rows) is not list or not all(
+            type(row) is list and len(row) == 2 and type(row[0]) is list and type(row[1]) is int
+            and all(type(c) is int for c in row[0])
+            for row in rows
+        ):
+            raise DomainError("elements must be a list of [[integer coordinates], integer count]")
+        return cls(group, [(group.element(coords), m) for coords, m in rows])
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), separators=(",", ":"))
@@ -279,14 +287,14 @@ def sim0_check(a: Multiset, b: Multiset) -> tuple[bool, Sim0Witness | None]:
     nothing to the flip sum, so the pair classes contribute a fixed base sum.
     Self-negative elements (2x = 0) are invisible to the multiset but free to
     include in the flip set; including one copy adds x, a second copy cancels
-    it.  So it suffices to search over subsets of the distinct self-negative
-    support elements, a set bounded by the 2-torsion of the group.
+    it.  They form (Z/2)^s, one bit per coordinate that is half an even
+    modulus, so the question is whether -base is a sum of some of the free
+    elements: a linear system over GF(2), solved by elimination on bitmasks.
     """
     if not sim_check(a, b):
         return False, None
-    zero = a.group.zero()
     forced: dict[GroupElement, int] = {}
-    base = zero
+    base = a.group.zero()
     for x in a.support():
         if x == -x:
             continue
@@ -294,17 +302,23 @@ def sim0_check(a: Multiset, b: Multiset) -> tuple[bool, Sim0Witness | None]:
         if excess > 0:
             forced[x] = excess
             base = base + excess * x
-    frees = [x for x in a.support() if x == -x and not x.is_zero()]
     target = -base
-    for r in range(len(frees) + 1):
-        for combo in itertools.combinations(frees, r):
-            s = zero
-            for x in combo:
-                s = s + x
-            if s == target:
-                counts = dict(forced)
-                for x in combo:
-                    counts[x] = 1
-                flip = Multiset(a.group, counts)
-                return True, Sim0Witness(flip_set=flip, sum_check=flip.total())
-    return False, None
+    if target != -target:
+        return False, None
+    frees = [x for x in a.support() if x == -x and not x.is_zero()]
+    # Elimination over GF(2), target last: leading bit -> (vector, the
+    # inputs summing to it, as a bitmask over frees + [target]).
+    pivots: dict[int, tuple[int, int]] = {}
+    for i, x in enumerate([*frees, target]):
+        v, used = sum(1 << j for j, c in enumerate(x.coords) if c), 1 << i
+        while v.bit_length() in pivots:
+            pv, pused = pivots[v.bit_length()]
+            v, used = v ^ pv, used ^ pused
+        if v:
+            pivots[v.bit_length()] = (v, used)
+    if v:  # the target is independent of the frees
+        return False, None
+    counts = dict(forced)
+    counts.update((x, 1) for i, x in enumerate(frees) if used >> i & 1)
+    flip = Multiset(a.group, counts)
+    return True, Sim0Witness(flip_set=flip, sum_check=flip.total())

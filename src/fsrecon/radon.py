@@ -6,12 +6,13 @@ residues.  The inverse reads back, for each point x, only the slices through
 x: f(x) is the weighted sum of Rf(hom, hom(x)) with a rational weight per
 homomorphism that depends only on which primes divide all of its values.
 
-No floating point is used anywhere.  Rationals are reduced to a common
-denominator, and forward, invert and verify share one separable integer
-kernel: a sweep that turns one coordinate axis at a time into a coefficient
-axis by a shift-and-add along the residue axis, in d n^(d+2) operations and
-n^(d+1) memory; numpy int64 when a bound checked up front caps every partial
-sum, exact Python integers (object dtype) otherwise.  The transform is not
+No floating point is used anywhere.  A function table and its image are
+stored alike, as integer numerators in point order over one common positive
+denominator.  Forward, invert and verify share one separable integer kernel:
+a sweep that turns one coordinate axis at a time into a coefficient axis by
+a shift-and-add along the residue axis, in d n^(d+2) operations and n^(d+1)
+memory; numpy int64 when a bound checked up front caps every partial sum,
+exact Python integers (object dtype) otherwise.  The transform is not
 surjective, so ``invert`` does not validate its input; ``mass_consistent``
 is the explicit sanity check, and the character-sum route
 ``fourier_invert_at_zero`` provides an independent second inverse.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,11 +51,13 @@ __all__ = [
 ]
 
 _INT64_SAFE = 2**62
+# "p/q" with q > 0: a subset of what Fraction parses, and what `_ratio_strs` writes.
+_RATIO = re.compile(r"(-?[0-9]+)/(0*[1-9][0-9]*)")
 
 
 def _check_dims(n: int, d: int) -> None:
-    if n < 1 or d < 1:
-        raise DomainError(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
+    if type(n) is not int or type(d) is not int or n < 1 or d < 1:
+        raise DomainError(f"need integers n >= 1 and d >= 1, got n = {n!r}, d = {d!r}")
 
 
 def _index(n: int, d: int, coords) -> int:
@@ -63,8 +67,8 @@ def _index(n: int, d: int, coords) -> int:
         raise DomainError(f"expected {d} coordinates, got {list(coords)}")
     idx = 0
     for a in coords:
-        if not 0 <= a < n:
-            raise DomainError(f"coordinate {a} out of range [0, {n})")
+        if type(a) is not int or not 0 <= a < n:
+            raise DomainError(f"coordinate {a!r} is not an integer in [0, {n})")
         idx = idx * n + a
     return idx
 
@@ -129,78 +133,107 @@ def inversion_weight(hom: Hom) -> Fraction:
 # -- tables ------------------------------------------------------------------
 
 
-def _fraction_to_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
+def _check_layout(n: int, d: int, nums: list[int], den: int, dims: int) -> None:
+    _check_dims(n, d)
+    if den <= 0 or len(nums) != n**dims:
+        raise DomainError(f"need {n}^{dims} numerators and a positive denominator")
+
+
+def _rows(obj, key: str, extra: int) -> tuple[int, int, list]:
+    """n, d and the rows of a table (extra = 0) or image (extra = 1)
+    document, which must hold one row per point of (Z/nZ)^(d + extra)."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"expected a JSON object with keys n, d and {key}")
+    n, d, rows = obj.get("n"), obj.get("d"), obj.get(key)
+    _check_dims(n, d)
+    size = len(rows) if type(rows) is list else -1
+    # With n >= 2, n^(d + extra) > size once d + extra passes size's bit length.
+    if size < 0 or (n > 1 and d + extra > size.bit_length()) or size != n ** (d + extra):
+        raise DomainError(f"{key} must be a list of {n}^{d + extra} rows")
+    return n, d, rows
+
+
+def _fill(n: int, dims: int, pairs: Iterable) -> tuple[list[int], int]:
+    """Numerators over one common denominator, in point order, from
+    (coordinates, value) pairs that name every point of (Z/nZ)^dims exactly
+    once.  A value is an int, a Fraction or a string that Fraction parses."""
+    _check_dims(n, dims)
+    nums: list = [None] * n**dims
+    dens = [1] * len(nums)
+    try:
+        for coords, v in pairs:
+            i = _index(n, dims, coords)
+            if type(v) not in (int, str, Fraction):
+                raise DomainError(f"value {v!r} is neither an integer nor a string")
+            ratio = type(v) is str and _RATIO.fullmatch(v)  # skips building a Fraction
+            nums[i], dens[i] = map(int, ratio.groups()) if ratio else Fraction(v).as_integer_ratio()
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"malformed entry: {exc}") from None
+    if None in nums:
+        raise DomainError(f"need exactly one entry for each of the {n}^{dims} points")
+    den = math.lcm(*dens)
+    return [num * (den // q) for num, q in zip(nums, dens)], den
+
+
+def _ratios_eq(self, other) -> bool:
+    """`==` for both tables: same shape and equal ratios, cross-multiplied."""
+    if type(other) is not type(self):
+        return NotImplemented
+    a, b = self._den, other._den
+    pairs = zip(self._nums, other._nums)
+    return (self.n, self.d) == (other.n, other.d) and all(x * b == y * a for x, y in pairs)
+
+
+def _ratio_strs(nums: list[int], den: int) -> Iterator[str]:
+    """Each num/den as "p/q" in lowest terms, the way Fraction reduces it."""
+    for num in nums:
+        g = math.gcd(num, den)
+        yield f"{num // g}/{den // g}"
 
 
 class FunctionTable:
     """A complete exact-rational table on the points of (Z/nZ)^d."""
 
-    __slots__ = ("n", "d", "values")
+    __slots__ = ("n", "d", "_nums", "_den")
 
-    def __init__(self, n: int, d: int, values: Mapping[tuple, Fraction]):
-        _check_dims(n, d)
-        if len(values) != n**d:
-            raise DomainError(
-                f"table has {len(values)} entries, expected {n}^{d} = {n ** d}"
-            )
-        canon: dict[tuple, Fraction] = {}
-        for key, v in values.items():
-            key = tuple(int(c) for c in key)
-            _index(n, d, key)
-            canon[key] = v if type(v) is Fraction else Fraction(v)
-        self.n = n
-        self.d = d
-        self.values = canon
+    def __init__(self, n: int, d: int, nums: list[int], den: int):
+        _check_layout(n, d, nums, den, d)
+        self.n, self.d, self._nums, self._den = n, d, nums, den
 
     @classmethod
-    def _trusted(cls, n: int, d: int, values: dict[tuple, Fraction]) -> FunctionTable:
-        """Internal constructor for complete, already-canonical tables."""
-        table = cls.__new__(cls)
-        table.n = n
-        table.d = d
-        table.values = values
-        return table
+    def from_values(cls, n: int, d: int, values: Mapping) -> FunctionTable:
+        """Build from a {point: value} mapping with one entry per point."""
+        return cls(n, d, *_fill(n, d, values.items()))
 
     def value(self, point) -> Fraction:
-        return self.values[tuple(point)]
+        return Fraction(self._nums[_index(self.n, self.d, point)], self._den)
 
     def total(self) -> Fraction:
-        return sum(self.values.values(), Fraction(0))
+        return Fraction(sum(self._nums), self._den)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FunctionTable):
-            return NotImplemented
-        return (self.n, self.d) == (other.n, other.d) and self.values == other.values
+    __eq__ = _ratios_eq
 
     def __repr__(self) -> str:
-        return f"FunctionTable(n={self.n}, d={self.d}, {len(self.values)} points)"
+        return f"FunctionTable(n={self.n}, d={self.d}, {len(self._nums)} points)"
 
     @classmethod
     def delta(cls, n: int, d: int, at: tuple | None = None) -> FunctionTable:
         at = tuple(at) if at is not None else (0,) * d
-        vals = {x: Fraction(1 if x == at else 0) for x in iter_point_tuples(n, d)}
-        return cls(n, d, vals)
+        return cls.from_values(n, d, {x: int(x == at) for x in iter_point_tuples(n, d)})
 
     @classmethod
     def constant(cls, n: int, d: int, value) -> FunctionTable:
-        return cls(n, d, {x: Fraction(value) for x in iter_point_tuples(n, d)})
+        return cls.from_values(n, d, dict.fromkeys(iter_point_tuples(n, d), value))
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "values": [
-                [list(x), _fraction_to_str(self.values[x])]
-                for x in iter_point_tuples(self.n, self.d)
-            ],
-        }
+        rows = zip(iter_point_tuples(self.n, self.d), _ratio_strs(self._nums, self._den))
+        return {"n": self.n, "d": self.d, "values": [[list(x), s] for x, s in rows]}
 
     @classmethod
     def from_obj(cls, obj: dict) -> FunctionTable:
-        n, d = int(obj["n"]), int(obj["d"])
-        vals = {tuple(k): Fraction(v) for k, v in obj["values"]}
-        return cls(n, d, vals)
+        """Parse a complete table: one [point, value] row per point."""
+        n, d, rows = _rows(obj, "values", 0)
+        return cls(n, d, *_fill(n, d, rows))
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), separators=(",", ":"))
@@ -217,39 +250,29 @@ def random_table(
     numerator_bound: int = 99,
     denominators: tuple[int, ...] = (1, 2, 3, 4, 6, 8),
 ) -> FunctionTable:
-    """Random rational table; the default denominators keep the integer
-    kernel inside int64 for every modulus in the supported range."""
+    """Random rational table over the lcm of `denominators`; the defaults keep
+    the integer kernel inside int64 for every modulus in the supported range."""
     _check_dims(n, d)
-    vals = {
-        x: Fraction(rng.randint(-numerator_bound, numerator_bound), rng.choice(denominators))
-        for x in iter_point_tuples(n, d)
-    }
-    return FunctionTable._trusted(n, d, vals)
+    den = math.lcm(*denominators)
+    nums = [
+        rng.randint(-numerator_bound, numerator_bound) * (den // rng.choice(denominators))
+        for _ in range(n**d)
+    ]
+    return FunctionTable(n, d, nums, den)
 
 
 class RadonImage:
-    """Exact table of fiber sums, indexed by (homomorphism, residue).
-
-    Stored as one flat integer array over a common denominator so that large
-    tables stay cheap; `value` hands out normalized Fractions.
-    """
+    """Exact table of fiber sums, indexed by (homomorphism, residue): the
+    layout of `FunctionTable` on the points (coeffs, c) of (Z/nZ)^(d+1)."""
 
     __slots__ = ("n", "d", "_nums", "_den")
 
     def __init__(self, n: int, d: int, nums: list[int], den: int):
-        _check_dims(n, d)
-        if den <= 0:
-            raise DomainError("denominator must be positive")
-        if len(nums) != n**d * n:
-            raise DomainError("image table has the wrong size")
-        self.n = n
-        self.d = d
-        self._nums = nums
-        self._den = den
+        _check_layout(n, d, nums, den, d + 1)
+        self.n, self.d, self._nums, self._den = n, d, nums, den
 
     def value(self, coeffs, c: int) -> Fraction:
-        idx = _index(self.n, self.d, coeffs) * self.n + c % self.n
-        return Fraction(self._nums[idx], self._den)
+        return Fraction(self._nums[_index(self.n, self.d + 1, [*coeffs, c % self.n])], self._den)
 
     def mass_by_hom(self) -> list[Fraction]:
         n, den = self.n, self._den
@@ -260,13 +283,7 @@ class RadonImage:
         masses = self.mass_by_hom()
         return all(m == masses[0] for m in masses)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RadonImage):
-            return NotImplemented
-        if (self.n, self.d) != (other.n, other.d):
-            return False
-        a, b = self._den, other._den
-        return all(x * b == y * a for x, y in zip(self._nums, other._nums))
+    __eq__ = _ratios_eq
 
     def __repr__(self) -> str:
         return f"RadonImage(n={self.n}, d={self.d})"
@@ -276,45 +293,23 @@ class RadonImage:
         for (coeffs, c), num in zip(keys, self._nums):
             yield coeffs, c, Fraction(num, self._den)
 
-    @classmethod
-    def from_entries(cls, n: int, d: int, entries: Mapping) -> RadonImage:
-        """Build from a {(coeffs, c): value} mapping; missing entries are 0."""
-        fracs = [Fraction(0)] * (n**d * n)
-        for (coeffs, c), v in entries.items():
-            fracs[_index(n, d + 1, [a % n for a in (*coeffs, c)])] = Fraction(v)
-        return cls(n, d, *_common_ints(fracs))
-
     def perturbed(self, coeffs, c: int, delta) -> RadonImage:
-        fracs = [Fraction(num, self._den) for num in self._nums]
-        fracs[_index(self.n, self.d, coeffs) * self.n + c % self.n] += Fraction(delta)
-        return RadonImage(self.n, self.d, *_common_ints(fracs))
+        p, q = Fraction(delta).as_integer_ratio()
+        nums = [num * q for num in self._nums]
+        nums[_index(self.n, self.d, coeffs) * self.n + c % self.n] += p * self._den
+        return RadonImage(self.n, self.d, nums, self._den * q)
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "entries": [
-                [list(coeffs), c, _fraction_to_str(v)]
-                for coeffs, c, v in self.iter_entries()
-            ],
-        }
+        keys = itertools.product(iter_point_tuples(self.n, self.d), range(self.n))
+        rows = zip(keys, _ratio_strs(self._nums, self._den))
+        return {"n": self.n, "d": self.d, "entries": [[list(h), c, s] for (h, c), s in rows]}
 
     @classmethod
     def from_obj(cls, obj: dict) -> RadonImage:
-        """Parse a complete image: exactly one entry per (coeffs, c), every
-        coefficient and residue in [0, n)."""
-        n, d = int(obj["n"]), int(obj["d"])
-        _check_dims(n, d)
-        rows = obj["entries"]
-        if len(rows) != n ** (d + 1):
-            raise DomainError(f"image has {len(rows)} entries, expected {n}^{d + 1}")
-        fracs: list = [None] * len(rows)
-        for coeffs, c, v in rows:
-            # Entries are laid out as the points (coeffs, c) of (Z/nZ)^(d+1).
-            fracs[_index(n, d + 1, [*coeffs, int(c)])] = Fraction(v)
-        if any(fr is None for fr in fracs):
-            raise DomainError("image lists some (coeffs, c) entry twice")
-        return cls(n, d, *_common_ints(fracs))
+        """Parse a complete image: one [coeffs, c, value] row per (coeffs, c)."""
+        n, d, rows = _rows(obj, "entries", 1)
+        pairs = (([*coeffs, c], v) for coeffs, c, v in rows)
+        return cls(n, d, *_fill(n, d + 1, pairs))
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), separators=(",", ":"))
@@ -325,12 +320,6 @@ class RadonImage:
 
 
 # -- integer kernels ----------------------------------------------------------
-
-
-def _common_ints(fracs: Iterable[Fraction]) -> tuple[list[int], int]:
-    fracs = list(fracs)
-    den = math.lcm(*(fr.denominator for fr in fracs)) if fracs else 1
-    return [fr.numerator * (den // fr.denominator) for fr in fracs], den
 
 
 def _int_dtype(bound: int):
@@ -361,9 +350,8 @@ def forward(f: FunctionTable) -> RadonImage:
     """Tabulate all fiber sums of f; exact.  The first coordinate axis is
     scattered to the residue h1*x1; each later axis is one `_step`."""
     n, d = f.n, f.d
-    nums, den = _common_ints(f.values[x] for x in iter_point_tuples(n, d))
     # Each partial sum adds up distinct points of f.
-    g = np.array(nums, dtype=_int_dtype(sum(map(abs, nums)))).reshape(n, -1)
+    g = np.array(f._nums, dtype=_int_dtype(sum(map(abs, f._nums)))).reshape(n, -1)
     head = n if d > 1 else 1  # the axis `_step` consumes next; none when d = 1
     out = np.zeros((head, n, g.shape[1] // head, n), dtype=g.dtype)
     a = np.arange(n)
@@ -372,13 +360,13 @@ def forward(f: FunctionTable) -> RadonImage:
     for _ in range(d - 1):
         out = _step(out.reshape(n, n, -1), n, -1)
     flat = out.reshape(head, n, -1).swapaxes(1, 2).reshape(-1)  # (h1..hd, c) order
-    return RadonImage(n, d, flat.tolist(), den)
+    return RadonImage(n, d, flat.tolist(), f._den)
 
 
 def _weight_ints(weights, n: int, d: int) -> tuple[list[int], int]:
     if weights is None or weights is inversion_weight:
         return _builtin_weight_ints(n, d)
-    return _common_ints(Fraction(weights(h)) for h in iter_homs(n, d))
+    return _fill(n, d, [(h.coeffs, weights(h)) for h in iter_homs(n, d)])
 
 
 @lru_cache(maxsize=32)
@@ -417,9 +405,7 @@ def invert(img: RadonImage, weights: Callable[[Hom], Fraction] | None = None) ->
     bound = sum(map(abs, wnums)) * max(map(abs, img._nums), default=0)
     image = np.array(img._nums, dtype=_int_dtype(bound)).reshape(n, -1, n)
     raw = _backproject(np.ascontiguousarray(image.swapaxes(1, 2)), wnums, n, d).tolist()
-    den = img._den * wden
-    values = {x: Fraction(v, den) for x, v in zip(iter_point_tuples(n, d), raw)}
-    return FunctionTable._trusted(n, d, values)
+    return FunctionTable(n, d, raw, img._den * wden)
 
 
 def verify_inverting(weights: Callable[[Hom], Fraction], n: int, d: int) -> bool:

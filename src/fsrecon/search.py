@@ -54,7 +54,6 @@ def enumerate_multisets(
 
 def fs_preimages(
     target: Multiset,
-    group: GroupSpec | None = None,
     bound: int | None = None,
     prune: bool = True,
     cap: int = 20,
@@ -68,10 +67,7 @@ def fs_preimages(
     anywhere, and completed candidates must satisfy the total-sum constraint
     2^(m-1) * sum(A) = sum(target).
     """
-    if group is None:
-        group = target.group
-    elif group != target.group:
-        raise DomainError("preimage group must match the target's group")
+    group = target.group
     card = target.cardinality
     if card < 1 or card & (card - 1):
         raise DomainError(f"subset-sums multisets have power-of-two size, got {card}")

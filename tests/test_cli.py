@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -177,6 +178,11 @@ def test_radon_rejects_empty_dimensions(capsys, argv):
         {"n": 2, "d": 1, "entries": [[[0, 0], 0, "1/1"]] * 4},
         {"n": 3, "d": 1, "entries": [[[2], 2, "1/1"]]},
         {"n": 2, "d": 1, "entries": [[[a], c, "1/1"] for a in (0, 1) for c in (0, 1, 1)]},
+        {"n": 2, "d": 1, "entries": [[[a], c / 2, "1/1"] for a in (0, 1) for c in (0, 3)]},
+        {"n": 2, "d": 1, "entries": [[[a / 2], c, "1/1"] for a in (0, 3) for c in (0, 1)]},
+        {"n": 2, "d": 1, "entries": [[[a], c, 0.1] for a in (0, 1) for c in (0, 1)]},
+        {"n": 2, "d": True, "entries": [[[a], c, "1/1"] for a in (0, 1) for c in (0, 1)]},
+        [1, 2],
     ],
     ids=[
         "coefficient-and-count",
@@ -185,12 +191,94 @@ def test_radon_rejects_empty_dimensions(capsys, argv):
         "coefficient-length",
         "too-few",
         "too-many",
+        "residue-float",
+        "coefficient-float",
+        "value-float",
+        "d-bool",
+        "top-level-array",
     ],
 )
 def test_radon_invert_rejects_malformed_image(tmp_path, capsys, image):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(image))
     code = main(["radon", "invert", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _table(values, n=2, d=1):
+    return {"n": n, "d": d, "values": [[[x], v] for x, v in enumerate(values)]}
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"n": 2, "d": 1, "values": [[[0], "1/2"], [[1.5], "3/1"]]},
+        _table(["1/2", "3/1"], n=2.5),
+        _table([0.1, "3/1"]),
+        _table(["abc", "3/1"]),
+        _table([None, "3/1"]),
+        _table(["1/0", "3/1"]),
+        _table([True, "3/1"]),
+        _table([[1], "3/1"]),
+        {"n": 2, "d": 1, "values": [[[1]], [[0], "1/1"]]},
+        {"n": 2, "d": 1, "values": [[[0], "1/1"], [[0], "1/1"]]},
+        {"n": 2, "d": 1, "values": [[[False], "1/2"], [[True], "3/1"]]},
+        [1, 2],
+    ],
+    ids=[
+        "coordinate-float",
+        "n-float",
+        "value-float",
+        "value-text",
+        "value-null",
+        "value-zero-denominator",
+        "value-bool",
+        "value-list",
+        "short-row",
+        "repeated-point",
+        "coordinate-bool",
+        "top-level-array",
+    ],
+)
+def test_radon_forward_rejects_malformed_table(tmp_path, capsys, table):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(table))
+    code = main(["radon", "forward", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_radon_forward_accepts_integer_and_decimal_values(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_table([3, "1.5", "-1/2"], n=3)))
+    code, out = run(capsys, "radon", "forward", "--in", str(path))
+    assert code == 0
+    assert RadonImage.from_json(out) == forward(FunctionTable.from_values(3, 1, {
+        (0,): 3, (1,): Fraction(3, 2), (2,): Fraction(-1, 2)
+    }))
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (("fs", "--in"), {"group": {"moduli": [5]}, "elements": 5}),
+        (("fs", "--in"), [1, 2]),
+        (("fs", "--in"), {"group": {"moduli": [5]}, "elements": [[[1.5], 1]]}),
+        (("fs", "--in"), {"group": {"moduli": "55"}, "elements": []}),
+        (("cyclo", "kernel-test", "5", "--vector", "a,b"), None),
+    ],
+    ids=["elements-not-a-list", "top-level-array", "coordinate-float", "moduli-text", "vector"],
+)
+def test_malformed_inputs_exit_2(tmp_path, capsys, argv, document):
+    argv = list(argv)
+    if document is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        argv.append(str(path))
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

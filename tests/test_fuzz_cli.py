@@ -1,0 +1,79 @@
+"""The exit-code contract under malformed input: mutated table, image and
+multiset documents never raise out of the CLI.  Every run ends with exit 0,
+2 or 3, and an error exit prints exactly one line to stderr."""
+import contextlib
+import io
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fsrecon.cli import main
+from fsrecon.radon import forward, random_table
+
+DOCUMENTS = {
+    "table": (["radon", "forward"], random_table(3, 2, random.Random(0)).to_obj()),
+    "image": (["radon", "invert"], forward(random_table(2, 2, random.Random(1))).to_obj()),
+    "multiset": (["fs"], {"group": {"moduli": [4, 0]}, "elements": [[[1, -2], 1], [[2, 5], 3]]}),
+}
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["1/0", "3/4", "-2", "1.5", "abc", ""]),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.just([[1]]),
+    st.just({}),
+)
+
+
+def _slots(node, out):
+    """Every (container, key) pair in a JSON document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in list(items):
+        out.append((node, key))
+        if isinstance(child, (dict, list)):
+            _slots(child, out)
+    return out
+
+
+def mutate(doc, data):
+    """Apply one to three mutations: drop a key or list item, swap a value
+    for junk, or insert junk into a list.  Swapping the root replaces the
+    whole document."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(doc, [(None, None)])
+        node, key = data.draw(st.sampled_from(slots))
+        action = data.draw(st.sampled_from(["drop", "swap", "insert"]))
+        if node is None:
+            doc = data.draw(JUNK)
+            if not isinstance(doc, (dict, list)):
+                return doc
+        elif action == "drop":
+            del node[key]
+        elif action == "insert" and isinstance(node, list):
+            node.insert(key, data.draw(JUNK))
+        else:
+            node[key] = data.draw(JUNK)
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_documents_keep_the_exit_contract(tmp_path_factory, kind, data):
+    argv, doc = DOCUMENTS[kind]
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{kind}.json"
+    path.write_text(json.dumps(mutate(doc, data)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--in", str(path)])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().count("\n") == 1 and out.getvalue() == ""

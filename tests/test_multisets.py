@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -232,3 +233,40 @@ def test_json_round_trip_and_stability():
 def test_rejects_wrong_group_elements():
     with pytest.raises(DomainError):
         Multiset(Z5, {Z3.element((1,)): 1})
+
+
+def test_sim0_decides_thirty_one_free_elements_quickly():
+    """Over Z/4 x (Z/2)^30 the self-negative elements form (Z/2)^31.  With
+    31 independent ones free, only all of them together sum to their total,
+    so a search over subsets of the frees would try about 2^31 of them."""
+    rank = 31
+    g = GroupSpec((4,) + (2,) * (rank - 1))
+    rng = random.Random(12)
+
+    def element(bits):
+        return g.element((2 * bits[0],) + tuple(bits[1:]))
+
+    # A unit upper-triangular mix of the standard basis stays independent.
+    frees = []
+    for i in range(rank):
+        bits = [0] * i + [1] + [rng.randrange(2) for _ in range(rank - i - 1)]
+        frees.append(element(bits))
+    s = g.zero()
+    for x in frees:
+        s = s + x
+    y = g.element((1,) + tuple(rng.randrange(2) for _ in range(rank - 1)))
+    z = s - y
+    w = g.element((3,) + tuple(rng.randrange(2) for _ in range(rank - 1)))
+    pairs = [
+        (ms(g, *frees, y, z), ms(g, *frees, -y, -z), True),
+        (ms(g, *frees, w), ms(g, *frees, -w), False),
+    ]
+    for a, b, equivalent in pairs:
+        start = time.perf_counter()
+        ok, witness = sim0_check(a, b)
+        assert time.perf_counter() - start < 1.0
+        assert ok is equivalent and sim_check(a, b)
+        if ok:
+            assert witness.sum_check.is_zero()
+            assert flip(a, witness.flip_set) == b
+            assert all(witness.flip_set.multiplicity(x) == 1 for x in frees)

@@ -48,7 +48,7 @@ def huge_table(n, d, seed, big=10**30):
     values = {
         x: Fraction(rng.randint(-big, big), rng.choice((1, 7))) for x in iter_point_tuples(n, d)
     }
-    return FunctionTable(n, d, values)
+    return FunctionTable.from_values(n, d, values)
 
 
 def moved_weights(n, d, t, onto):
@@ -80,7 +80,7 @@ def test_forward_delta():
 
 
 def test_forward_n2_d1_by_hand():
-    f = FunctionTable(2, 1, {(0,): Fraction(1), (1,): Fraction(2)})
+    f = FunctionTable.from_values(2, 1, {(0,): Fraction(1), (1,): Fraction(2)})
     img = forward(f)
     assert img.value((1,), 0) == 1
     assert img.value((1,), 1) == 2
@@ -212,7 +212,7 @@ def test_round_trip_small():
 
 def test_round_trip_integer_valued():
     rng = random.Random(17)
-    f = FunctionTable(
+    f = FunctionTable.from_values(
         9, 2, {x: Fraction(rng.randint(-50, 50)) for x in iter_point_tuples(9, 2)}
     )
     assert invert(forward(f)) == f
@@ -226,7 +226,7 @@ def test_delta_reconstructs():
 def test_round_trip_huge_values_object_path():
     rng = random.Random(18)
     big = 10**30
-    f = FunctionTable(
+    f = FunctionTable.from_values(
         5,
         2,
         {
@@ -327,9 +327,18 @@ def test_function_table_json_round_trip():
     assert FunctionTable.from_json(f.to_json()) == f
 
 
+def test_files_write_values_in_lowest_terms():
+    """Numerators share one denominator in memory, but files print each value
+    the way Fraction does: "p/q" in lowest terms."""
+    f = random_table(3, 2, random.Random(25))
+    for row in f.to_obj()["values"] + forward(f).to_obj()["entries"]:
+        fr = Fraction(row[-1])
+        assert row[-1] == f"{fr.numerator}/{fr.denominator}"
+
+
 def test_function_table_requires_complete_table():
     with pytest.raises(DomainError):
-        FunctionTable(3, 1, {(0,): Fraction(1)})
+        FunctionTable.from_values(3, 1, {(0,): Fraction(1)})
 
 
 @pytest.mark.parametrize("n,d", [(3, 0), (0, 2), (3, -1)])
