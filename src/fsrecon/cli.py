@@ -181,7 +181,8 @@ def _cmd_search(args, cfg: Config) -> int:
     if args.action == "scan":
         group = GroupSpec.from_obj(json.loads(args.group))
         report = search.regularity_scan(
-            group, args.max_size, bound=args.bound, budget=args.budget or cfg.search_budget
+            group, args.max_size, bound=args.bound,
+            budget=cfg.search_budget if args.budget is None else args.budget,
         )
         lines = [
             f"group {group}, sizes <= {args.max_size}, "
@@ -206,6 +207,8 @@ def _cmd_search(args, cfg: Config) -> int:
 
 
 def _bench_radon_case(n: int, d: int, rng, tables: int = 1) -> dict:
+    if tables < 1:
+        raise DomainError(f"--tables must be at least 1, got {tables}")
     table = radon.random_table(n, d, rng)
     t0 = time.perf_counter()
     for _ in range(tables):

@@ -1,10 +1,10 @@
 """Finite multisets over an abelian group, their subset sums, and the two
 sign-flip equivalences that subset sums cannot distinguish.
 
-``subset_sums`` builds the multiset of all 2^|A| subset totals by convolving,
-one distinct element at a time, with the binomial weights of (1 + t^a)^mult.
-Counts are exact arbitrary-precision integers; a 24-element multiset already
-produces multiplicities around 2^24.
+``subset_sums`` folds ``extend_subset_sums``, a product with the binomial
+weights of (1 + t^a)^mult, over the distinct elements; the search module's
+walk uses the same step.  Counts are exact arbitrary-precision integers; a
+24-element multiset already produces multiplicities around 2^24.
 
 ``sim_check`` decides whether A' arises from A by negating some subset
 (equivalent to matching counts on every pair class {x, -x}), and
@@ -30,11 +30,25 @@ __all__ = [
     "DEFAULT_SUBSET_SUMS_CAP",
     "Multiset",
     "Sim0Witness",
+    "extend_subset_sums",
     "sim_check",
     "sim0_check",
 ]
 
 DEFAULT_SUBSET_SUMS_CAP = 24
+
+
+def extend_subset_sums(sums: Mapping[GroupElement, int], a: GroupElement, m: int = 1) -> dict:
+    """The {sum: count} map of A + m*{a} from that of A: multiply by
+    (1 + t^a)^m.  The i = 0 term carries every count over unchanged; term i
+    adds C(m, i) times each count at the sum shifted by i*a."""
+    out = dict(sums)
+    for i in range(1, m + 1):
+        shift, w = i * a, math.comb(m, i)
+        for y, c in sums.items():
+            z = y + shift
+            out[z] = out.get(z, 0) + c * w
+    return out
 
 
 def _coerce(group: GroupSpec, value) -> GroupElement:
@@ -203,9 +217,9 @@ class Multiset:
     def subset_sums(self, cap: int = DEFAULT_SUBSET_SUMS_CAP) -> Multiset:
         """The multiset of all 2^|A| subset totals.
 
-        Convolves {0} with the binomial expansion of (1 + t^a)^m for every
-        distinct element a of multiplicity m, which keeps the work
-        proportional to the number of distinct sums rather than 2^|A|.
+        Folds ``extend_subset_sums`` over the distinct elements, starting
+        from {0}, which keeps the work proportional to the number of
+        distinct sums rather than 2^|A|.
         """
         size = self.cardinality
         if size > cap:
@@ -214,16 +228,7 @@ class Multiset:
             )
         acc = {self.group.zero(): 1}
         for a, m in self.items():
-            binoms = [math.comb(m, i) for i in range(m + 1)]
-            multiples = [self.group.zero()]
-            for _ in range(m):
-                multiples.append(multiples[-1] + a)
-            nxt: dict[GroupElement, int] = {}
-            for y, c in acc.items():
-                for i, w in enumerate(binoms):
-                    z = y + multiples[i]
-                    nxt[z] = nxt.get(z, 0) + c * w
-            acc = nxt
+            acc = extend_subset_sums(acc, a, m)
         return Multiset(self.group, acc)
 
     # -- serialization ---------------------------------------------------

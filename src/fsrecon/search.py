@@ -13,11 +13,11 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceCapError
 from .groups import GroupElement, GroupSpec
-from .multisets import Multiset, sim0_check
+from .multisets import Multiset, extend_subset_sums, sim0_check
 
 __all__ = [
     "ScanReport",
@@ -29,16 +29,9 @@ __all__ = [
 
 
 def _bounded_elements(group: GroupSpec, bound: int | None) -> list[GroupElement]:
-    ranges = []
-    for m in group.moduli:
-        if m >= 1:
-            ranges.append(range(m))
-        else:
-            if bound is None:
-                raise DomainError(
-                    "an infinite factor needs a coordinate bound to enumerate"
-                )
-            ranges.append(range(-bound, bound + 1))
+    if bound is None and not group.is_finite():
+        raise DomainError("an infinite factor needs a coordinate bound to enumerate")
+    ranges = [range(m) if m else range(-bound, bound + 1) for m in group.moduli]
     return [group.element(coords) for coords in itertools.product(*ranges)]
 
 
@@ -52,21 +45,43 @@ def enumerate_multisets(
         yield Multiset.from_elements(group, combo)
 
 
-def fs_preimages(
-    target: Multiset,
-    bound: int | None = None,
-    prune: bool = True,
-    cap: int = 20,
-) -> list[list[Multiset]]:
+def _walk(group: GroupSpec, candidates: Sequence[GroupElement], length: int,
+          fits: Callable[[dict], bool] | None = None) -> Iterator[tuple[tuple, dict]]:
+    """Depth first over the nondecreasing sequences of candidates of length 0
+    to ``length``, yielding (sequence, subset sums) in lexicographic preorder.
+    Each node extends its parent's sums by one ``extend_subset_sums`` step; a
+    node whose sums fail ``fits`` is skipped together with its subtree.  The
+    stack is explicit, so the depth is not bounded by the recursion limit."""
+    root = {group.zero(): 1}
+    yield (), root
+    stack = [(0, (), root)]  # (next candidate index, sequence, its sums)
+    while stack:
+        i, seq, sums = stack.pop()
+        if i == len(candidates) or len(seq) == length:
+            continue
+        stack.append((i + 1, seq, sums))
+        nxt = extend_subset_sums(sums, candidates[i])
+        if fits is None or fits(nxt):
+            child = seq + (candidates[i],)
+            yield child, nxt
+            stack.append((i, child, nxt))
+
+
+def _check_bound(bound: int | None) -> None:
+    if bound is not None and bound < 0:
+        raise DomainError(f"the coordinate bound must be nonnegative, got {bound}")
+
+
+def fs_preimages(target: Multiset, bound: int | None = None, cap: int = 20) -> list[list[Multiset]]:
     """All multisets whose subset sums equal the target, grouped into
     zero-flip equivalence classes, deterministically ordered.
 
     Candidates are drawn from the support of the target (every element of a
-    preimage is itself a one-element subset sum).  With pruning on, a partial
-    candidate is dropped as soon as its own subset sums exceed the target
-    anywhere, and completed candidates must satisfy the total-sum constraint
-    2^(m-1) * sum(A) = sum(target).
+    preimage is itself a one-element subset sum).  A partial candidate is
+    dropped as soon as its own subset sums exceed the target anywhere, and a
+    complete one is kept when its subset sums equal the target.
     """
+    _check_bound(bound)
     group = target.group
     card = target.cardinality
     if card < 1 or card & (card - 1):
@@ -74,52 +89,27 @@ def fs_preimages(
     m = card.bit_length() - 1
     if m > cap:
         raise ResourceCapError(f"preimage search capped at size {cap}, need {m}")
-    zero = group.zero()
-    empty_fs = Multiset(group, {zero: 1})
-    if m == 0:
-        return [[Multiset.empty(group)]] if target == empty_fs else []
 
-    candidates = sorted(target.support(), key=lambda e: e.coords)
-    if bound is not None:
-        candidates = [
-            x
-            for x in candidates
-            if all(
-                mod >= 1 or -bound <= c <= bound
-                for c, mod in zip(x.coords, group.moduli)
-            )
-        ]
-    target_total = target.total()
+    candidates = [
+        x for x in target.support()
+        if bound is None
+        or all(mod or -bound <= c <= bound for c, mod in zip(x.coords, group.moduli))
+    ]
+    want = dict(target.items())
 
-    def fits(partial_fs: Multiset) -> bool:
-        return all(m_ <= target.multiplicity(x) for x, m_ in partial_fs.items())
+    def fits(sums: dict[GroupElement, int]) -> bool:
+        return all(c <= want.get(x, 0) for x, c in sums.items())
 
-    hits: list[Multiset] = []
-
-    def extend(start: int, chosen: list[GroupElement], partial_fs: Multiset) -> None:
-        if len(chosen) == m:
-            cand = Multiset.from_elements(group, chosen)
-            if prune and 2 ** (m - 1) * cand.total() != target_total:
-                return
-            if partial_fs == target:
-                hits.append(cand)
-            return
-        for i in range(start, len(candidates)):
-            a = candidates[i]
-            nxt = partial_fs.union(partial_fs.shift(a))
-            if prune and not fits(nxt):
-                continue
-            chosen.append(a)
-            extend(i, chosen, nxt)
-            chosen.pop()
-
-    extend(0, [], empty_fs)
+    hits = [
+        Multiset.from_elements(group, seq)
+        for seq, sums in _walk(group, candidates, m, fits)
+        if len(seq) == m and sums == want
+    ]
 
     classes: list[list[Multiset]] = []
     for cand in hits:
         for cls in classes:
-            ok, _ = sim0_check(cls[0], cand)
-            if ok:
+            if sim0_check(cls[0], cand)[0]:
                 cls.append(cand)
                 break
         else:
@@ -185,35 +175,40 @@ def regularity_scan(
 
     Multisets are bucketed by their exact subset-sums multiset; only
     within-bucket pairs can violate.  Supplied extra pairs (e.g. a
-    constructed candidate) are checked by the same exact criteria.  If the
-    budget runs out the report is flagged non-exhaustive.
+    constructed candidate) are checked by the same exact criteria.  The scan
+    walks the multisets depth first, each one extending the subset sums of
+    its prefix, so when the budget runs out no size has been fully checked;
+    the report is then flagged non-exhaustive.
     """
+    if max_size < 1:
+        raise DomainError(f"the scan needs a maximum size of at least 1, got {max_size}")
+    _check_bound(bound)
+    if budget is not None and budget < 1:
+        raise DomainError(f"the scan budget must be at least 1, got {budget}")
     report = ScanReport(group=group, max_size=max_size, bound=bound)
-    buckets: dict[Multiset, list[Multiset]] = {}
-    for size in range(1, max_size + 1):
-        for ms in enumerate_multisets(group, size, bound):
-            if budget is not None and report.checked >= budget:
-                report.exhaustive = False
-                break
-            report.checked += 1
-            key = ms.subset_sums(cap=max(max_size, 1))
-            buckets.setdefault(key, []).append(ms)
-        if not report.exhaustive:
+    buckets: dict[frozenset, list[tuple[GroupElement, ...]]] = {}
+    for seq, sums in _walk(group, _bounded_elements(group, bound), max_size):
+        if not seq:
+            continue
+        if budget is not None and report.checked >= budget:
+            report.exhaustive = False
             break
+        report.checked += 1
+        buckets.setdefault(frozenset(sums.items()), []).append(seq)
     if bound is not None and not group.is_finite():
         report.exhaustive = False
     violations = []
     for members in buckets.values():
-        for a, b in itertools.combinations(members, 2):
-            ok, _ = sim0_check(a, b)
-            if not ok:
+        if len(members) < 2:
+            continue
+        sets = [Multiset.from_elements(group, seq) for seq in members]
+        for a, b in itertools.combinations(sets, 2):
+            if not sim0_check(a, b)[0]:
                 violations.append((a, b))
     for a, b in extra_pairs:
         fs_cap = max(a.cardinality, b.cardinality)
-        if a.subset_sums(cap=fs_cap) == b.subset_sums(cap=fs_cap):
-            ok, _ = sim0_check(a, b)
-            if not ok:
-                violations.append((a, b))
+        if a.subset_sums(cap=fs_cap) == b.subset_sums(cap=fs_cap) and not sim0_check(a, b)[0]:
+            violations.append((a, b))
     violations.sort(key=lambda pair: (pair[0].to_json(), pair[1].to_json()))
     report.violations = violations
     return report

@@ -61,6 +61,56 @@ def sim0_oracle(a: Multiset, b: Multiset) -> bool:
     )
 
 
+def _box(group: GroupSpec, bound: int | None) -> list[GroupElement]:
+    """Every element of a finite group, or of the coordinate box [-bound,
+    bound] on its Z factors, in lexicographic coordinate order."""
+    ranges = [range(m) if m else range(-bound, bound + 1) for m in group.moduli]
+    return sorted(
+        (group.element(c) for c in itertools.product(*ranges)), key=lambda x: x.coords
+    )
+
+
+def scan_oracle(
+    group: GroupSpec, max_size: int, bound: int | None = None
+) -> tuple[int, list[tuple[Multiset, Multiset]]]:
+    """(multisets checked, violating pairs) of a regularity scan: every pair
+    of equal size with equal brute-force subset sums that no zero-sum flip
+    relates, first member earlier in enumeration order, sorted as the
+    scan's report sorts them."""
+    checked, violations = 0, []
+    for size in range(1, max_size + 1):
+        sets = [
+            Multiset.from_elements(group, combo)
+            for combo in itertools.combinations_with_replacement(_box(group, bound), size)
+        ]
+        checked += len(sets)
+        sums = [fs_bruteforce(a) for a in sets]
+        for i, j in itertools.combinations(range(len(sets)), 2):
+            if sums[i] == sums[j] and not sim0_oracle(sets[i], sets[j]):
+                violations.append((sets[i], sets[j]))
+    violations.sort(key=lambda pair: (pair[0].to_json(), pair[1].to_json()))
+    return checked, violations
+
+
+def preimages_oracle(target: Multiset, bound: int | None = None) -> list[list[Multiset]]:
+    """Every multiset of the right size over the whole group (or the box)
+    whose brute-force subset sums equal the target, in enumeration order,
+    grouped by sim0_oracle against the first member of each class."""
+    size = target.cardinality.bit_length() - 1
+    classes: list[list[Multiset]] = []
+    for combo in itertools.combinations_with_replacement(_box(target.group, bound), size):
+        cand = Multiset.from_elements(target.group, combo)
+        if fs_bruteforce(cand) != target:
+            continue
+        for cls in classes:
+            if sim0_oracle(cls[0], cand):
+                cls.append(cand)
+                break
+        else:
+            classes.append([cand])
+    return classes
+
+
 def order_oracle(x: GroupElement, cap: int = 10_000) -> int | None:
     acc = x
     for k in range(1, cap + 1):

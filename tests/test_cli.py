@@ -160,6 +160,7 @@ def test_radon_bench_command(capsys):
         ("radon", "verify", "--n", "3", "--d", "0"),
         ("radon", "verify", "--n", "0", "--d", "2"),
         ("radon", "bench", "--n", "3", "--d", "-1"),
+        ("radon", "bench", "--n", "3", "--d", "2", "--tables", "0"),
     ],
 )
 def test_radon_rejects_empty_dimensions(capsys, argv):
@@ -305,6 +306,41 @@ def test_search_scan_report_round_trips(capsys):
     assert obj["exhaustive"] is True and len(obj["violations"]) == 1
     a = Multiset.from_obj(obj["violations"][0][0])
     assert a == Multiset.from_elements(cyclic(2), [0, 1])
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--max-size", "0", "--bound", "1"),
+        ("--max-size", "-1", "--bound", "1"),
+        ("--max-size", "2", "--bound", "-1"),
+        ("--max-size", "2", "--bound", "1", "--budget", "0"),
+        ("--max-size", "2", "--bound", "1", "--budget", "-3"),
+    ],
+)
+def test_search_scan_rejects_empty_ranges(capsys, extra):
+    code = main(["search", "scan", "--group", '{"moduli":[5, 0]}', *extra])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_search_scan_explicit_budget(capsys):
+    code, out = run(
+        capsys, "--json", "search", "scan", "--group", '{"moduli":[5]}',
+        "--max-size", "2", "--budget", "1",
+    )
+    obj = json.loads(out)
+    assert code == 0 and obj["checked"] == 1 and obj["exhaustive"] is False
+
+
+def test_search_invert_fs_rejects_negative_bound(tmp_path, capsys):
+    path = tmp_path / "fs.json"
+    path.write_text(Multiset.from_elements(cyclic(0), [0, 1]).to_json())
+    code = main(["search", "invert-fs", "--in", str(path), "--bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_search_invert_fs(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The exit-code contract under malformed input: mutated table, image and
-multiset documents never raise out of the CLI.  Every run ends with exit 0,
-2 or 3, and an error exit prints exactly one line to stderr."""
+multiset documents, and drawn ``search scan`` arguments, never raise out of
+the CLI.  Every run ends with its contract exit code, and exit 2 or 3
+prints exactly one line to stderr and nothing to stdout."""
 import contextlib
 import io
 import json
@@ -76,4 +77,33 @@ def test_mutated_documents_keep_the_exit_contract(tmp_path_factory, kind, data):
         code = main([*argv, "--in", str(path)])
     assert code in (0, 2, 3)
     if code:
+        assert err.getvalue().count("\n") == 1 and out.getvalue() == ""
+
+
+# One draw in four is malformed text; the rest are moduli lists.
+GROUP_TEXT = st.integers(0, 3).flatmap(
+    lambda k: st.sampled_from(["", "{", "[]", '{"moduli": 5}', '{"moduli": [2.0]}'])
+    if k == 0
+    else st.lists(st.integers(-1, 6), max_size=2).map(lambda m: json.dumps({"moduli": m}))
+)
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    group=GROUP_TEXT,
+    max_size=st.integers(-1, 3),
+    bound=_option("--bound", st.integers(-1, 2)),
+    budget=_option("--budget", st.integers(-1, 40)),
+)
+def test_drawn_scan_arguments_keep_the_exit_contract(group, max_size, bound, budget):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["search", "scan", "--group", group, "--max-size", str(max_size), *bound, *budget]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
         assert err.getvalue().count("\n") == 1 and out.getvalue() == ""

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from fsrecon.search import (
     regularity_scan,
     verify_add_subset_sums,
 )
+from oracles import fs_bruteforce, preimages_oracle, scan_oracle
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -99,19 +101,61 @@ def test_preimage_classes_are_sim0_consistent():
             assert not sim0_check(classes[0][0], other_cls[0])[0]
 
 
-def test_pruning_matches_unpruned_search():
+@pytest.mark.parametrize(
+    "group, bound", [(cyclic(4), None), (Z5, None), (cyclic(6), None), (Z, 3)],
+    ids=["Z4", "Z5", "Z6", "Z"],
+)
+def test_preimages_match_bruteforce_oracle(group, bound):
+    """Seeded subset-sums targets of one to three elements, plus random
+    multisets of two, four and eight elements, which are mostly not subset
+    sums of anything."""
     rng = random.Random(27)
-    for group in (Z5, Z2, cyclic(4)):
-        n = group.moduli[0]
-        for _ in range(8):
-            a = Multiset.from_elements(group, (rng.randint(0, n - 1) for _ in range(3)))
-            target = a.subset_sums()
-            assert fs_preimages(target, prune=True) == fs_preimages(
-                target, prune=False
-            )
+    values = range(-bound, bound + 1) if bound else range(group.moduli[0])
+
+    def draw(size):
+        return Multiset.from_elements(group, (rng.choice(values) for _ in range(size)))
+
+    targets = [fs_bruteforce(draw(size)) for size in (1, 2, 3) for _ in range(4)]
+    targets += [draw(size) for size in (2, 4, 8) for _ in range(2)]
+    for target in targets:
+        assert fs_preimages(target, bound=bound) == preimages_oracle(target, bound)
 
 
 # -- regularity scans -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "group, max_size, bound",
+    [(Z2, 4, None), (cyclic(4), 3, None), (cyclic(6), 3, None), (GroupSpec((2, 2)), 3, None),
+     (GroupSpec((3, 0)), 2, 1)],
+    ids=["Z2", "Z4", "Z6", "Z2xZ2", "Z3xZ"],
+)
+def test_scan_matches_bruteforce_oracle(group, max_size, bound):
+    report = regularity_scan(group, max_size, bound=bound)
+    checked, violations = scan_oracle(group, max_size, bound)
+    assert report.checked == checked
+    assert report.violations == violations
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_size": 0}, {"max_size": -1}, {"max_size": 2, "bound": -1},
+     {"max_size": 2, "budget": 0}],
+)
+def test_scan_rejects_empty_ranges(kwargs):
+    with pytest.raises(DomainError):
+        regularity_scan(GroupSpec((3, 0)), **{"bound": 1, **kwargs})
+
+
+def test_scan_walks_deeper_than_the_recursion_limit():
+    size = sys.getrecursionlimit() + 100
+    report = regularity_scan(GroupSpec(()), size)
+    assert report.checked == size and report.exhaustive and not report.violations
+
+
+def test_preimages_reject_negative_bound():
+    with pytest.raises(DomainError):
+        fs_preimages(ms(Z, 0, 1), bound=-1)
 
 
 def test_scan_z2_finds_classic_violation():
