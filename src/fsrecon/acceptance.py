@@ -191,15 +191,12 @@ def _c10_distribution_relations(quick, rng, corrupt):
 
 def _bridge_group(n, size_cap, rng, random_pairs):
     group = cyclic(n)
-    multisets = []
-    for size in range(size_cap + 1):
-        multisets.extend(search.enumerate_multisets(group, size))
-    keyed = [(ms, ms.subset_sums(), cyclo.unit_signature(ms)) for ms in multisets]
     by_fs: dict = {}
     by_sig: dict = {}
-    for ms, fs, sig in keyed:
-        by_fs.setdefault(fs, set()).add(id(ms))
-        by_sig.setdefault(sig, set()).add(id(ms))
+    # Every multiset of size <= size_cap once, with its subset sums.
+    for seq, sums in search._walk(group, list(group.iter_elements()), size_cap):
+        by_fs.setdefault(frozenset(sums.items()), set()).add(seq)
+        by_sig.setdefault(cyclo.unit_signature(Multiset.from_elements(group, seq)), set()).add(seq)
     # The two partitions coincide iff subset-sums equality and the kernel
     # test agree on every pair.
     if set(map(frozenset, by_fs.values())) != set(map(frozenset, by_sig.values())):

@@ -411,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

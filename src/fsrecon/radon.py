@@ -11,8 +11,10 @@ stored alike, as integer numerators in point order over one common positive
 denominator.  Forward, invert and verify share one separable integer kernel:
 a sweep that turns one coordinate axis at a time into a coefficient axis by
 a shift-and-add along the residue axis, in d n^(d+2) operations and n^(d+1)
-memory; numpy int64 when a bound checked up front caps every partial sum,
-exact Python integers (object dtype) otherwise.  The transform is not
+memory.  It runs on numpy int64 only, on one or more residue channels: a
+bound proved up front caps every partial sum, and when it passes int64 the
+kernel runs once per modulus of a set whose product exceeds twice the bound,
+and an exact CRT rebuild recovers each integer.  The transform is not
 surjective, so ``invert`` does not validate its input; ``mass_consistent``
 is the explicit sanity check, and the character-sum route
 ``fourier_invert_at_zero`` provides an independent second inverse.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -322,19 +325,71 @@ class RadonImage:
 # -- integer kernels ----------------------------------------------------------
 
 
-def _int_dtype(bound: int):
-    """int64 when `bound` caps every partial sum, else exact Python ints."""
-    return np.int64 if bound < _INT64_SAFE else object
+def _moduli(bound: int, n: int, wmax: int) -> list[int]:
+    """Pairwise coprime odd moduli whose product exceeds 2 * bound, each the
+    largest odd number under the size limit that is coprime to those before.
+    A channel holds residues in [0, q): a partial sum adds at most n of them,
+    and a weight multiply scales one by the weight's symmetric residue, of
+    size at most min(wmax, q/2).  With q * max(n, min(wmax, 2^31)) <= 2^62
+    every value stays below 2^62: past wmax = 2^31, q <= 2^31 and q/2 * q
+    < 2^61."""
+    limit = _INT64_SAFE // max(n, min(wmax, 2**31))
+    moduli, prod, q = [], 1, (limit - 1) | 1
+    while prod <= 2 * bound:
+        if math.gcd(q, prod) == 1:
+            moduli.append(q)
+            prod *= q
+        q -= 2
+    return moduli
 
 
-def _step(g: np.ndarray, n: int, sign: int) -> np.ndarray:
+def _crt(outs: list[list[int]], moduli: list[int]) -> list[int]:
+    """The integers in (-M/2, M/2) with residues `outs` modulo the pairwise
+    coprime odd `moduli`, M their product."""
+    m = math.prod(moduli)
+    half = m // 2
+    acc = itertools.repeat(half)  # shifts [0, M) onto (-M/2, M/2) below
+    for out, q in zip(outs, moduli):
+        basis = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod the others
+        acc = map(operator.add, acc, map(operator.mul, out, itertools.repeat(basis)))
+    return [y % m - half for y in acc]
+
+
+def _exact(kernel: Callable, nums, bound: int, n: int, wmax: int = 1) -> list[int]:
+    """Run kernel(g, q) on int64 arrays of the integers `nums` (a list or an
+    int64 array) and return its output as exact integers.  When `bound` caps
+    every partial sum below _INT64_SAFE, one channel runs on nums as they are,
+    with q = None.  Otherwise one channel runs per modulus q of `_moduli` on
+    nums mod q, the kernel reducing mod q as it goes, and each output, which
+    `bound` also caps, is rebuilt by CRT."""
+    if bound < _INT64_SAFE:
+        return kernel(np.asarray(nums, dtype=np.int64), None).tolist()
+    moduli = _moduli(bound, n, wmax)
+    outs = []
+    for q in moduli:
+        if isinstance(nums, np.ndarray):
+            g = nums % q
+        else:
+            g = np.array([x % q for x in nums], dtype=np.int64)
+        outs.append(kernel(g, q).tolist())
+    return _crt(outs, moduli)
+
+
+def _reduced(g: np.ndarray, q: int | None) -> np.ndarray:
+    if q is not None:
+        np.remainder(g, q, out=g)
+    return g
+
+
+def _step(g: np.ndarray, n: int, sign: int, q: int | None) -> np.ndarray:
     """One axis of the sweep, a shift-and-add along the residue axis.  g has
     shape (n, n, rest): the axis b to consume, the residue c, then the other
     axes, next to consume first.  The result keeps that layout and appends an
-    axis a: out[r0, c, r1, a] = sum_b g[b, (c + sign*a*b) mod n, r0, r1]."""
+    axis a: out[r0, c, r1, a] = sum_b g[b, (c + sign*a*b) mod n, r0, r1],
+    reduced mod q."""
     blocks = g.reshape(n, -1)
     size = blocks.shape[1]
-    out = np.empty((n, n, size // n**2, n), dtype=g.dtype)
+    out = np.empty((n, n, size // n**2, n), dtype=np.int64)
     for a in range(n):
         acc = blocks[0].copy()
         for b in range(1, n):
@@ -343,24 +398,28 @@ def _step(g: np.ndarray, n: int, sign: int) -> np.ndarray:
             acc[: size - j] += blocks[b, j:]
             acc[size - j :] += blocks[b, :j]
         out[..., a] = acc.reshape(n, n, -1).swapaxes(0, 1)
-    return out.reshape(n, n, -1)
+    return _reduced(out.reshape(n, n, -1), q)
 
 
 def forward(f: FunctionTable) -> RadonImage:
     """Tabulate all fiber sums of f; exact.  The first coordinate axis is
     scattered to the residue h1*x1; each later axis is one `_step`."""
     n, d = f.n, f.d
-    # Each partial sum adds up distinct points of f.
-    g = np.array(f._nums, dtype=_int_dtype(sum(map(abs, f._nums)))).reshape(n, -1)
     head = n if d > 1 else 1  # the axis `_step` consumes next; none when d = 1
-    out = np.zeros((head, n, g.shape[1] // head, n), dtype=g.dtype)
     a = np.arange(n)
-    for b in range(n):
-        out[:, a * b % n, :, a] += g[b].reshape(head, -1)
-    for _ in range(d - 1):
-        out = _step(out.reshape(n, n, -1), n, -1)
-    flat = out.reshape(head, n, -1).swapaxes(1, 2).reshape(-1)  # (h1..hd, c) order
-    return RadonImage(n, d, flat.tolist(), f._den)
+
+    def sweep(g: np.ndarray, q: int | None) -> np.ndarray:
+        g = g.reshape(n, -1)
+        out = np.zeros((head, n, g.shape[1] // head, n), dtype=np.int64)
+        for b in range(n):
+            out[:, a * b % n, :, a] += g[b].reshape(head, -1)
+        _reduced(out, q)
+        for _ in range(d - 1):
+            out = _step(out.reshape(n, n, -1), n, -1, q)
+        return out.reshape(head, n, -1).swapaxes(1, 2).reshape(-1)  # (h1..hd, c) order
+
+    # Each partial sum adds up distinct points of f.
+    return RadonImage(n, d, _exact(sweep, f._nums, sum(map(abs, f._nums)), n), f._den)
 
 
 def _weight_ints(weights, n: int, d: int) -> tuple[list[int], int]:
@@ -381,19 +440,27 @@ def _builtin_weight_ints(n: int, d: int) -> tuple[list[int], int]:
     return nums, by_divisor[n][1]
 
 
-def _backproject(g: np.ndarray, wnums: list[int], n: int, d: int) -> np.ndarray:
-    """sum_h w(h) image[h, h.x] for every point x, in point order, from an
-    image g of shape (n, n, n^(d-1)) laid out (h1, c, h2..hd); g is
-    overwritten.  The adjoint sweep: `_step` with the opposite sign on d-1
-    axes, then a gather at residue 0 on the last."""
-    g *= np.array(wnums, dtype=g.dtype).reshape(n, 1, -1)
-    for _ in range(d - 1):
-        g = _step(g, n, 1)
+def _backprojection(wnums: list[int], n: int, d: int) -> Callable:
+    """The kernel g, q -> sum_h w(h) image[h, h.x] for every point x, in
+    point order, from an image g in (h1..hd, c) order.  The adjoint sweep:
+    `_step` with the opposite sign on d-1 axes, then a gather at residue 0
+    on the last.  Mod q it multiplies by each weight's symmetric residue, as
+    `_moduli` assumes."""
     a = np.arange(n)
-    out = np.zeros((n, g.shape[2]), dtype=g.dtype)
-    for b in range(n):
-        out += g[b, a * b % n]
-    return out.T.reshape(-1)
+
+    def backproject(g: np.ndarray, q: int | None) -> np.ndarray:
+        w = wnums if q is None else [(x + q // 2) % q - q // 2 for x in wnums]
+        g = np.ascontiguousarray(g.reshape(n, -1, n).swapaxes(1, 2))  # (h1, c, h2..hd)
+        g *= np.array(w, dtype=np.int64).reshape(n, 1, -1)
+        _reduced(g, q)
+        for _ in range(d - 1):
+            g = _step(g, n, 1, q)
+        out = np.zeros((n, g.shape[2]), dtype=np.int64)
+        for b in range(n):
+            out += g[b, a * b % n]
+        return _reduced(out, q).T.reshape(-1)
+
+    return backproject
 
 
 def invert(img: RadonImage, weights: Callable[[Hom], Fraction] | None = None) -> FunctionTable:
@@ -401,10 +468,16 @@ def invert(img: RadonImage, weights: Callable[[Hom], Fraction] | None = None) ->
     slices Rf(hom, hom(x)).  The input is trusted to be a genuine image."""
     n, d = img.n, img.d
     wnums, wden = _weight_ints(weights, n, d)
-    # Each partial sum takes at most one weighted image entry per hom.
-    bound = sum(map(abs, wnums)) * max(map(abs, img._nums), default=0)
-    image = np.array(img._nums, dtype=_int_dtype(bound)).reshape(n, -1, n)
-    raw = _backproject(np.ascontiguousarray(image.swapaxes(1, 2)), wnums, n, d).tolist()
+    try:  # numpy finds the largest entry in the pass that builds the array
+        image = np.array(img._nums, dtype=np.int64)
+        top = max(int(image.max()), -int(image.min()))
+    except OverflowError:
+        image = img._nums
+        top = max(map(abs, image))
+    # Each partial sum takes at most one weighted image entry per hom; the
+    # bound also caps every weight, which the kernel holds too.
+    bound = sum(map(abs, wnums)) * max(top, 1)
+    raw = _exact(_backprojection(wnums, n, d), image, bound, n, max(map(abs, wnums)))
     return FunctionTable(n, d, raw, img._den * wden)
 
 
@@ -415,10 +488,11 @@ def verify_inverting(weights: Callable[[Hom], Fraction], n: int, d: int) -> bool
     which is [c = 0] on every homomorphism."""
     _check_dims(n, d)
     wnums, den = _weight_ints(weights, n, d)
-    delta_image = np.zeros((n, n, n ** (d - 1)), dtype=_int_dtype(sum(map(abs, wnums))))
-    delta_image[:, 0] = 1
-    sums = _backproject(delta_image, wnums, n, d)
-    return int(sums[0]) == den and not sums[1:].any()
+    delta_image = np.zeros(n ** (d + 1), dtype=np.int64)
+    delta_image[::n] = 1
+    bound = sum(map(abs, wnums))
+    sums = _exact(_backprojection(wnums, n, d), delta_image, bound, n, max(map(abs, wnums)))
+    return sums[0] == den and not any(sums[1:])
 
 
 def product_lift(

@@ -28,11 +28,15 @@ __all__ = [
 ]
 
 
-def _bounded_elements(group: GroupSpec, bound: int | None) -> list[GroupElement]:
+def _bounded_elements(
+    group: GroupSpec, bound: int | None, limit: int | None = None
+) -> list[GroupElement]:
+    """The group's elements, or its box [-bound, bound] on Z factors, in
+    coordinate order; only the first `limit` of them when one is given."""
     if bound is None and not group.is_finite():
         raise DomainError("an infinite factor needs a coordinate bound to enumerate")
     ranges = [range(m) if m else range(-bound, bound + 1) for m in group.moduli]
-    return [group.element(coords) for coords in itertools.product(*ranges)]
+    return [group.element(c) for c in itertools.islice(itertools.product(*ranges), limit)]
 
 
 def enumerate_multisets(
@@ -187,7 +191,11 @@ def regularity_scan(
         raise DomainError(f"the scan budget must be at least 1, got {budget}")
     report = ScanReport(group=group, max_size=max_size, bound=bound)
     buckets: dict[frozenset, list[tuple[GroupElement, ...]]] = {}
-    for seq, sums in _walk(group, _bounded_elements(group, bound), max_size):
+    # A node that uses candidate j has at least the j singletons of earlier
+    # candidates before it, so the first budget + 1 nodes, the last of which
+    # ends the scan as non-exhaustive, use only the first budget + 1 candidates.
+    elements = _bounded_elements(group, bound, None if budget is None else budget + 1)
+    for seq, sums in _walk(group, elements, max_size):
         if not seq:
             continue
         if budget is not None and report.checked >= budget:

@@ -71,25 +71,28 @@ def _box(group: GroupSpec, bound: int | None) -> list[GroupElement]:
 
 
 def scan_oracle(
-    group: GroupSpec, max_size: int, bound: int | None = None
+    group: GroupSpec, max_size: int, bound: int | None = None, budget: int | None = None
 ) -> tuple[int, list[tuple[Multiset, Multiset]]]:
-    """(multisets checked, violating pairs) of a regularity scan: every pair
-    of equal size with equal brute-force subset sums that no zero-sum flip
-    relates, first member earlier in enumeration order, sorted as the
-    scan's report sorts them."""
-    checked, violations = 0, []
-    for size in range(1, max_size + 1):
-        sets = [
-            Multiset.from_elements(group, combo)
-            for combo in itertools.combinations_with_replacement(_box(group, bound), size)
-        ]
-        checked += len(sets)
-        sums = [fs_bruteforce(a) for a in sets]
-        for i, j in itertools.combinations(range(len(sets)), 2):
-            if sums[i] == sums[j] and not sim0_oracle(sets[i], sets[j]):
-                violations.append((sets[i], sets[j]))
+    """(multisets checked, violating pairs) of a regularity scan of the first
+    `budget` multisets (all of them when None) in lexicographic order of
+    their sorted element lists: every pair with equal brute-force subset sums
+    that no zero-sum flip relates, first member earlier in that order, sorted
+    as the scan's report sorts them."""
+    box = _box(group, bound)
+    combos = sorted(
+        combo
+        for size in range(1, max_size + 1)
+        for combo in itertools.combinations_with_replacement(range(len(box)), size)
+    )[:budget]
+    sets = [Multiset.from_elements(group, [box[i] for i in combo]) for combo in combos]
+    sums = [fs_bruteforce(a) for a in sets]
+    violations = [
+        (sets[i], sets[j])
+        for i, j in itertools.combinations(range(len(sets)), 2)
+        if sums[i] == sums[j] and not sim0_oracle(sets[i], sets[j])
+    ]
     violations.sort(key=lambda pair: (pair[0].to_json(), pair[1].to_json()))
-    return checked, violations
+    return len(sets), violations
 
 
 def preimages_oracle(target: Multiset, bound: int | None = None) -> list[list[Multiset]]:

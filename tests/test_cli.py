@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,19 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, argv, document):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["in-directory", "out-directory", "not-utf8"])
+def test_unreadable_and_unwritable_files_exit_2(tmp_path, capsys, case):
+    table = tmp_path / "table.json"
+    table.write_bytes(b"\xff\xfe" if case == "not-utf8" else b'{"n":1,"d":1,"values":[[[0],1]]}')
+    argv = ["radon", "forward", "--in", str(tmp_path if case == "in-directory" else table)]
+    if case == "out-directory":
+        argv += ["--out", str(tmp_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cyclo_commands(capsys):
     code, out = run(capsys, "--json", "cyclo", "dist", "15")
     assert code == 0 and json.loads(out)["pass"] is True
@@ -332,6 +346,17 @@ def test_search_scan_explicit_budget(capsys):
     )
     obj = json.loads(out)
     assert code == 0 and obj["checked"] == 1 and obj["exhaustive"] is False
+
+
+def test_search_scan_budget_bounds_the_box(capsys):
+    start = time.perf_counter()
+    code, out = run(
+        capsys, "--json", "search", "scan", "--group", '{"moduli":[0]}',
+        "--max-size", "2", "--bound", "200000", "--budget", "5",
+    )
+    assert time.perf_counter() - start < 1.0
+    obj = json.loads(out)
+    assert code == 0 and obj["checked"] == 5 and obj["exhaustive"] is False
 
 
 def test_search_invert_fs_rejects_negative_bound(tmp_path, capsys):

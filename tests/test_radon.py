@@ -36,19 +36,45 @@ def criterion_oracle(weights, n, d):
 def fiber_sums_oracle(f):
     """Literal double loop over homomorphisms and points, all Fractions."""
     sums = {(h.coeffs, c): Fraction(0) for h in iter_homs(f.n, f.d) for c in range(f.n)}
+    values = [(x, f.value(x)) for x in iter_point_tuples(f.n, f.d)]
     for h in iter_homs(f.n, f.d):
-        for x in iter_point_tuples(f.n, f.d):
-            sums[h.coeffs, h.apply(x)] += f.value(x)
+        for x, v in values:
+            sums[h.coeffs, h.apply(x)] += v
     return sums
 
 
-def huge_table(n, d, seed, big=10**30):
-    """Values far past int64, so the kernel runs on Python integers."""
+def weighted_slices_oracle(img, weights):
+    """Literal sum of w(hom) Rf(hom, hom(x)) over all homs at every point x,
+    all Fractions: what `invert` computes, inverting weights or not."""
+    homs = [(h, Fraction(weights(h))) for h in iter_homs(img.n, img.d)]
+    values = {
+        x: sum((w * img.value(h.coeffs, h.apply(x)) for h, w in homs), Fraction(0))
+        for x in iter_point_tuples(img.n, img.d)
+    }
+    return FunctionTable.from_values(img.n, img.d, values)
+
+
+def huge_table(n, d, seed, big):
+    """Values up to big in size; past int64 the kernel runs on several
+    residue channels."""
     rng = random.Random(seed)
     values = {
         x: Fraction(rng.randint(-big, big), rng.choice((1, 7))) for x in iter_point_tuples(n, d)
     }
     return FunctionTable.from_values(n, d, values)
+
+
+# Just under and over the int32 range, the one-channel bound 2^62 and int64.
+BIGS = (2**31 - 1, 2**31 + 1, 2**62 - 1, 2**62 + 1, 2**63 - 1, 2**63 + 1, 2**200)
+
+
+def big_tables(n, d, seed):
+    """Random tables up to each of BIGS, and the constant tables +big and
+    -big, whose zero-hom fiber sum at c = 0 is the kernel's bound itself."""
+    for big in BIGS:
+        yield huge_table(n, d, seed, big)
+        yield FunctionTable.constant(n, d, big)
+        yield FunctionTable.constant(n, d, -big)
 
 
 def moved_weights(n, d, t, onto):
@@ -100,7 +126,7 @@ def test_forward_constant_fiber_sizes():
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 1), (1, 1), (4, 2), (5, 3), (3, 4), (6, 2)])
 def test_forward_matches_brute_force_fiber_sums(n, d):
     rng = random.Random(14)
-    for f in (random_table(n, d, rng), huge_table(n, d, seed=n * 10 + d)):
+    for f in (random_table(n, d, rng), *big_tables(n, d, seed=n * 10 + d)):
         img = forward(f)
         for (coeffs, c), total in fiber_sums_oracle(f).items():
             assert img.value(coeffs, c) == total
@@ -223,26 +249,21 @@ def test_delta_reconstructs():
     assert invert(forward(f)) == f
 
 
-def test_round_trip_huge_values_object_path():
-    rng = random.Random(18)
-    big = 10**30
-    f = FunctionTable.from_values(
-        5,
-        2,
-        {
-            x: Fraction(rng.randint(-big, big), rng.choice((1, 7)))
-            for x in iter_point_tuples(5, 2)
-        },
-    )
-    assert invert(forward(f)) == f
+def test_round_trip_huge_values():
+    for n, d in ((5, 2), (4, 3), (1, 2)):
+        for f in big_tables(n, d, seed=18):
+            assert invert(forward(f)) == f
 
 
-def test_round_trip_huge_values_numpy_object_path():
-    f = huge_table(4, 3, seed=19, big=10**25)
-    assert invert(forward(f)) == f
-    # Inverting weights past int64 take the same exact path.
-    g = random_table(5, 3, random.Random(19))
-    assert invert(forward(g), moved_weights(5, 3, Fraction(10**30), (2, 0, 0))) == g
+def test_round_trip_huge_weights():
+    # Inverting weights past int64 take the same exact path, also on an
+    # all-zero image.  Moved onto the zero hom they no longer invert, and
+    # their huge parts no longer cancel.
+    for g in (random_table(5, 3, random.Random(19)), FunctionTable.constant(5, 3, 0)):
+        img = forward(g)
+        assert invert(img, moved_weights(5, 3, Fraction(10**30), (2, 0, 0))) == g
+        off = moved_weights(5, 3, Fraction(10**30), (0, 0, 0))
+        assert invert(img, off) == weighted_slices_oracle(img, off)
 
 
 def test_slice_locality():

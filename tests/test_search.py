@@ -176,6 +176,20 @@ def test_scan_z3_with_z_factor_clean():
     assert not report.exhaustive  # bounded evidence only
 
 
+@pytest.mark.parametrize(
+    "group, max_size, bound, budget",
+    [(Z2, 4, None, 4), (Z2, 4, None, 5), (Z2, 4, None, 13), (cyclic(4), 3, None, 20),
+     (GroupSpec((3, 0)), 2, 1, 7), (Z5, 1, None, 3), (Z5, 2, None, 100)],
+)
+def test_budgeted_scan_matches_oracle_prefix(group, max_size, bound, budget):
+    report = regularity_scan(group, max_size, bound=bound, budget=budget)
+    checked, violations = scan_oracle(group, max_size, bound, budget)
+    assert report.checked == checked
+    assert report.violations == violations
+    everything, _ = scan_oracle(group, max_size, bound)
+    assert report.exhaustive == (budget >= everything and group.is_finite())
+
+
 def test_scan_budget_marks_non_exhaustive():
     report = regularity_scan(Z5, 3, budget=10)
     assert not report.exhaustive
