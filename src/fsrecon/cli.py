@@ -12,7 +12,6 @@ import sys
 import time
 
 from . import acceptance, counterexamples, cyclo, ofs, radon, search
-from .config import Config, load_config
 from .errors import DomainError, ResourceCapError, VerificationError
 from .groups import GroupSpec
 from .multisets import Multiset, sim0_check
@@ -34,25 +33,25 @@ def _write_text(path: str | None, text: str) -> None:
         print(text)
 
 
-def _emit(cfg: Config, obj: dict, lines: list[str], out: str | None = None) -> None:
-    if cfg.output == "json":
-        _write_text(out, json.dumps(obj, separators=(",", ":")))
+def _emit(args, obj: dict, lines: list[str]) -> None:
+    if args.json:
+        print(json.dumps(obj, separators=(",", ":")))
     else:
-        _write_text(out, "\n".join(lines))
+        print("\n".join(lines))
 
 
 # -- subcommand implementations ------------------------------------------------
 
 
-def _cmd_fs(args, cfg: Config) -> int:
+def _cmd_fs(args) -> int:
     ms = Multiset.from_obj(_read_json(args.infile))
-    fs = ms.subset_sums(cap=cfg.fs_cap)
+    fs = ms.subset_sums()
     text = fs.to_json()
     _write_text(args.out, text)
     return 0
 
 
-def _cmd_sim0(args, cfg: Config) -> int:
+def _cmd_sim0(args) -> int:
     a = Multiset.from_obj(_read_json(args.a))
     b = Multiset.from_obj(_read_json(args.b))
     ok, witness = sim0_check(a, b)
@@ -61,11 +60,11 @@ def _cmd_sim0(args, cfg: Config) -> int:
     if witness is not None:
         obj["flip_set"] = witness.flip_set.to_obj()
         lines.append(f"flip set: {witness.flip_set}")
-    _emit(cfg, obj, lines)
+    _emit(args, obj, lines)
     return 0 if ok else 1
 
 
-def _cmd_ofs(args, cfg: Config) -> int:
+def _cmd_ofs(args) -> int:
     if args.action == "test":
         verdict = ofs.is_member(args.n)
         if args.brute:
@@ -73,7 +72,7 @@ def _cmd_ofs(args, cfg: Config) -> int:
             if brute != verdict.member:
                 raise VerificationError(f"criterion and brute force disagree at {args.n}")
         _emit(
-            cfg,
+            args,
             verdict.to_obj(),
             [
                 f"{verdict.n}: {'member' if verdict.member else 'not member'} "
@@ -87,12 +86,12 @@ def _cmd_ofs(args, cfg: Config) -> int:
     else:
         shown = members
     obj = {"limit": args.n, "members": members, "complement": ofs.complement_up_to(args.n)}
-    _emit(cfg, obj, [str(n) for n in shown])
+    _emit(args, obj, [str(n) for n in shown])
     return 0
 
 
-def _cmd_counterexample(args, cfg: Config) -> int:
-    pair = counterexamples.build(args.n, args.mode, fs_cap=cfg.fs_cap)
+def _cmd_counterexample(args) -> int:
+    pair = counterexamples.build(args.n, args.mode)
     obj = pair.to_obj()
     obj["mode"] = args.mode
     lines = [
@@ -105,11 +104,11 @@ def _cmd_counterexample(args, cfg: Config) -> int:
             json.dump(obj, fh, separators=(",", ":"))
         print(f"wrote {args.out}")
     else:
-        _emit(cfg, obj, lines)
+        _emit(args, obj, lines)
     return 0
 
 
-def _cmd_radon(args, cfg: Config) -> int:
+def _cmd_radon(args) -> int:
     if args.action == "forward":
         table = FunctionTable.from_obj(_read_json(args.infile))
         _write_text(args.out, radon.forward(table).to_json())
@@ -121,19 +120,19 @@ def _cmd_radon(args, cfg: Config) -> int:
     if args.action == "verify":
         ok = radon.verify_inverting(radon.inversion_weight, args.n, args.d)
         _emit(
-            cfg,
+            args,
             {"n": args.n, "d": args.d, "inverting": ok},
             [f"closed-form weights invert on (Z/{args.n})^{args.d}: {ok}"],
         )
         return 0 if ok else 1
     # bench
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     rows = [_bench_radon_case(args.n, args.d, rng, tables=args.tables)]
-    _emit(cfg, {"suite": "radon", "rows": rows}, [json.dumps(r) for r in rows])
+    _emit(args, {"suite": "radon", "rows": rows}, [json.dumps(r) for r in rows])
     return 0
 
 
-def _cmd_cyclo(args, cfg: Config) -> int:
+def _cmd_cyclo(args) -> int:
     if args.action == "dist":
         checks = []
         for p in ofs.prime_factors(args.n):
@@ -142,7 +141,7 @@ def _cmd_cyclo(args, cfg: Config) -> int:
         ok = all(c["pass"] for c in checks)
         obj = {"n": args.n, "checks": checks, "pass": ok}
         lines = [f"distribution relations for n={args.n}: {len(checks)} checks, pass={ok}"]
-        _emit(cfg, obj, lines)
+        _emit(args, obj, lines)
         return 0 if ok else 1
     if args.action == "kernel-test":
         try:
@@ -151,38 +150,34 @@ def _cmd_cyclo(args, cfg: Config) -> int:
             raise DomainError(f"--vector needs integers, got {args.vector!r}") from None
         ok = cyclo.kernel_test(args.n, vector)
         _emit(
-            cfg,
+            args,
             {"n": args.n, "vector": list(vector), "in_kernel": ok},
             [f"kernel test for n={args.n}: {ok}"],
         )
         return 0 if ok else 1
     # ranks
     checks = []
-    surj = cyclo.projection_surjectivity_check(args.n, cap=cfg.rank_cap)
+    surj = cyclo.projection_surjectivity_check(args.n)
     checks.append({"name": "projection_surjectivity", **surj, "pass": surj["surjective"]})
     member = ofs.is_member(args.n).member
     if member:
         kern = cyclo.kernel_rank_check(args.n)
         checks.append({"name": "kernel_rank", **kern, "pass": kern["consistent"]})
         if args.n >= 3:
-            unit = cyclo.unit_group_rank_numeric(
-                args.n, tolerance=cfg.tolerance, precision_bits=cfg.precision_bits,
-                cap=cfg.rank_cap,
-            )
+            unit = cyclo.unit_group_rank_numeric(args.n)
             checks.append({"name": "unit_rank_numeric", **unit, "pass": unit["consistent"]})
     ok = all(c["pass"] for c in checks)
     obj = {"n": args.n, "member": member, "checks": checks, "pass": ok}
     lines = [f"{c['name']}: pass={c['pass']}" for c in checks]
-    _emit(cfg, obj, lines)
+    _emit(args, obj, lines)
     return 0 if ok else 1
 
 
-def _cmd_search(args, cfg: Config) -> int:
+def _cmd_search(args) -> int:
     if args.action == "scan":
         group = GroupSpec.from_obj(json.loads(args.group))
         report = search.regularity_scan(
-            group, args.max_size, bound=args.bound,
-            budget=cfg.search_budget if args.budget is None else args.budget,
+            group, args.max_size, bound=args.bound, budget=args.budget
         )
         lines = [
             f"group {group}, sizes <= {args.max_size}, "
@@ -190,11 +185,11 @@ def _cmd_search(args, cfg: Config) -> int:
             f"violations: {len(report.violations)}",
         ]
         lines += [f"  {a}  vs  {b}" for a, b in report.violations]
-        _emit(cfg, report.to_obj(), lines)
+        _emit(args, report.to_obj(), lines)
         return 1 if report.violations else 0
     # invert-fs
     target = Multiset.from_obj(_read_json(args.infile))
-    classes = search.fs_preimages(target, bound=args.bound, cap=cfg.fs_cap)
+    classes = search.fs_preimages(target, bound=args.bound)
     obj = {
         "target": target.to_obj(),
         "classes": [[m.to_obj() for m in cls] for cls in classes],
@@ -202,7 +197,7 @@ def _cmd_search(args, cfg: Config) -> int:
     lines = [f"{len(classes)} equivalence classes"]
     for i, cls in enumerate(classes):
         lines.append(f"class {i}: " + ", ".join(str(m) for m in cls))
-    _emit(cfg, obj, lines)
+    _emit(args, obj, lines)
     return 0
 
 
@@ -229,8 +224,8 @@ def _bench_radon_case(n: int, d: int, rng, tables: int = 1) -> dict:
     }
 
 
-def _bench_suite(suite: str, cfg: Config) -> list[dict]:
-    rng = random.Random(cfg.seed)
+def _bench_suite(suite: str, seed: int) -> list[dict]:
+    rng = random.Random(seed)
     rows = []
     if suite == "radon":
         for n, d in ((3, 4), (9, 2), (5, 3), (3, 8)):
@@ -279,21 +274,21 @@ def _bench_suite(suite: str, cfg: Config) -> list[dict]:
     return rows
 
 
-def _cmd_bench(args, cfg: Config) -> int:
-    rows = _bench_suite(args.suite, cfg)
-    _emit(cfg, {"suite": args.suite, "rows": rows}, [json.dumps(r) for r in rows])
+def _cmd_bench(args) -> int:
+    rows = _bench_suite(args.suite, args.seed)
+    _emit(args, {"suite": args.suite, "rows": rows}, [json.dumps(r) for r in rows])
     return 0
 
 
-def _cmd_selftest(args, cfg: Config) -> int:
+def _cmd_selftest(args) -> int:
     results = acceptance.run_all(
-        quick=args.quick, seed=cfg.seed, corrupt_lambda=args.corrupt_lambda
+        quick=args.quick, seed=args.seed, corrupt_lambda=args.corrupt_lambda
     )
     ok = all(r.passed for r in results)
     obj = {"pass": ok, "items": [r.to_obj() for r in results]}
     lines = [r.line() for r in results]
     lines.append(f"selftest: {'PASS' if ok else 'FAIL'} ({len(results)} items)")
-    _emit(cfg, obj, lines)
+    _emit(args, obj, lines)
     return 0 if ok else 1
 
 
@@ -306,8 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact subset-sums reconstruction toolkit over abelian groups.",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized runs")
-    parser.add_argument("--config", default=None, help="flat key = value config file")
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fs", help="subset sums of a multiset file")
@@ -364,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--group", required=True, help='e.g. {"moduli":[17]}')
     q.add_argument("--max-size", dest="max_size", type=int, required=True)
     q.add_argument("--bound", type=int, default=None)
-    q.add_argument("--budget", type=int, default=None)
+    q.add_argument("--budget", type=int, default=5_000_000)
     q = search_sub.add_parser("invert-fs")
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--bound", type=int, default=None)
@@ -402,12 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = load_config(
-            path=args.config,
-            output="json" if args.json else None,
-            seed=args.seed,
-        )
-        return _DISPATCH[args.command](args, cfg)
+        return _DISPATCH[args.command](args)
     except ResourceCapError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3

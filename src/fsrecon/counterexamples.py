@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ResourceCapError, VerificationError
 from .groups import GroupSpec, cyclic
-from .multisets import Multiset, sim0_check
+from .multisets import DEFAULT_SUBSET_SUMS_CAP, Multiset, sim0_check
 from .ofs import is_member
 
 __all__ = ["CounterexamplePair", "build", "z2_pair"]
@@ -56,11 +56,14 @@ def _verify(n, d, k, a, a_prime, fs_cap) -> CounterexamplePair:
     return CounterexamplePair(n=n, d=d, k=k, a=a, a_prime=a_prime, verified=True)
 
 
-def build(n: int, d_mode: str = "order", fs_cap: int | None = None) -> CounterexamplePair:
+def build(n: int, d_mode: str = "order") -> CounterexamplePair:
     """Construct and verify the power-multiset pair for a non-member n.
 
     d_mode "order" uses the minimal exponent d with n | 2^d - 1, keeping the
-    subset-sums size at 2^ord_n(2); "totient" uses d = phi(n).
+    subset-sums size at 2^ord_n(2); "totient" uses d = phi(n).  Either way
+    d may not exceed MAX_EXPONENT, and the min(n, 2^d) distinct subset sums
+    that verification builds may not exceed the 2^DEFAULT_SUBSET_SUMS_CAP
+    that the subset-sums cap allows anywhere else.
     """
     if d_mode not in ("order", "totient"):
         raise DomainError(f"unknown d_mode {d_mode!r}")
@@ -68,9 +71,14 @@ def build(n: int, d_mode: str = "order", fs_cap: int | None = None) -> Counterex
     if verdict.member:
         raise DomainError(f"{n} admits no counterexample: its units are covered")
     d = verdict.ord2 if d_mode == "order" else verdict.phi
-    limit = fs_cap if fs_cap is not None else MAX_EXPONENT
-    if d > limit:
-        raise ResourceCapError(f"exponent {d} exceeds cap {limit} for n={n}")
+    if d > MAX_EXPONENT:
+        raise ResourceCapError(f"exponent {d} exceeds cap {MAX_EXPONENT} for n={n}")
+    distinct = min(n, 2**d)
+    if distinct > 2**DEFAULT_SUBSET_SUMS_CAP:
+        raise ResourceCapError(
+            f"n={n}, d={d}: verification needs up to {distinct} distinct subset sums, "
+            f"over the cap 2^{DEFAULT_SUBSET_SUMS_CAP}"
+        )
     powers = {pow(2, j, n) for j in range(verdict.ord2)}
     banned = powers | {(n - p) % n for p in powers}
     k = next(

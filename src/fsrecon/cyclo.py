@@ -50,6 +50,12 @@ __all__ = [
     "unit_group_rank_numeric",
 ]
 
+# Largest n the rank certificates accept, and the working precision and
+# singular-value cutoff of the numeric unit-rank check.
+RANK_CAP = 45
+RANK_PRECISION_BITS = 100
+RANK_TOLERANCE = 1e-8
+
 
 # -- integer polynomial helpers (dense, low-to-high coefficients) -----------
 
@@ -383,7 +389,7 @@ def sim0_lattice_basis(n: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def projection_surjectivity_check(n: int, cap: int = 45) -> dict:
+def projection_surjectivity_check(n: int) -> dict:
     """Certify by exact rank that the per-divisor index-folding map covers,
     over the rationals, the whole product of divisor spaces modulo their
     distribution relations.
@@ -394,8 +400,8 @@ def projection_surjectivity_check(n: int, cap: int = 45) -> dict:
     """
     if n % 2 == 0 or n < 1:
         raise DomainError(f"n must be odd and positive, got {n}")
-    if n > cap:
-        raise ResourceCapError(f"surjectivity check capped at {cap}")
+    if n > RANK_CAP:
+        raise ResourceCapError(f"surjectivity check capped at {RANK_CAP}")
     divs = divisors(n)
     offsets = {}
     total = 0
@@ -452,26 +458,21 @@ def kernel_rank_check(n: int) -> dict:
     }
 
 
-def unit_group_rank_numeric(
-    n: int,
-    tolerance: float = 1e-8,
-    precision_bits: int = 100,
-    cap: int = 45,
-) -> dict:
+def unit_group_rank_numeric(n: int) -> dict:
     """Advisory numeric check of the multiplicative rank of the generators
     1 + w^j via the logarithmic embedding.
 
-    Builds log|sigma(1 + w^j)| over all embeddings sigma at the requested
-    working precision and counts singular values above the tolerance.  The
+    Builds log|sigma(1 + w^j)| over all embeddings sigma at
+    RANK_PRECISION_BITS and counts singular values above RANK_TOLERANCE.  The
     expected rank is phi(n)/2 for covered n >= 3 and 1 for n = 1.
     """
     from mpmath import mp
 
     if n % 2 == 0 or n < 1:
         raise DomainError(f"n must be odd and positive, got {n}")
-    if n > cap:
-        raise ResourceCapError(f"numeric rank check capped at {cap}")
-    with mp.workprec(precision_bits):
+    if n > RANK_CAP:
+        raise ResourceCapError(f"numeric rank check capped at {RANK_CAP}")
+    with mp.workprec(RANK_PRECISION_BITS):
         embeddings = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
         mat = mp.matrix(len(embeddings), n)
         for i, a in enumerate(embeddings):
@@ -480,7 +481,7 @@ def unit_group_rank_numeric(
                 # for odd n.
                 mat[i, j] = mp.log(2 * abs(mp.cospi(mp.mpf(a * j) / n)))
         singular = mp.svd_r(mat, compute_uv=False)
-        numeric_rank = sum(1 for s in singular if s > tolerance)
+        numeric_rank = sum(1 for s in singular if s > RANK_TOLERANCE)
     expected = 1 if n == 1 else totient(n) // 2
     return {
         "n": n,

@@ -19,7 +19,7 @@ class NotASubsetError(DomainError):
 
 
 class ResourceCapError(RuntimeError):
-    """A configured size or budget cap would be exceeded."""
+    """A size or budget cap would be exceeded."""
 
 
 class VerificationError(RuntimeError):

@@ -291,11 +291,6 @@ class RadonImage:
     def __repr__(self) -> str:
         return f"RadonImage(n={self.n}, d={self.d})"
 
-    def iter_entries(self) -> Iterator[tuple[tuple[int, ...], int, Fraction]]:
-        keys = itertools.product(iter_point_tuples(self.n, self.d), range(self.n))
-        for (coeffs, c), num in zip(keys, self._nums):
-            yield coeffs, c, Fraction(num, self._den)
-
     def perturbed(self, coeffs, c: int, delta) -> RadonImage:
         p, q = Fraction(delta).as_integer_ratio()
         nums = [num * q for num in self._nums]

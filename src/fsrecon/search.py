@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceCapError
 from .groups import GroupElement, GroupSpec
-from .multisets import Multiset, extend_subset_sums, sim0_check
+from .multisets import DEFAULT_SUBSET_SUMS_CAP, Multiset, extend_subset_sums, sim0_check
 
 __all__ = [
     "ScanReport",
@@ -76,14 +76,15 @@ def _check_bound(bound: int | None) -> None:
         raise DomainError(f"the coordinate bound must be nonnegative, got {bound}")
 
 
-def fs_preimages(target: Multiset, bound: int | None = None, cap: int = 20) -> list[list[Multiset]]:
+def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multiset]]:
     """All multisets whose subset sums equal the target, grouped into
     zero-flip equivalence classes, deterministically ordered.
 
     Candidates are drawn from the support of the target (every element of a
     preimage is itself a one-element subset sum).  A partial candidate is
     dropped as soon as its own subset sums exceed the target anywhere, and a
-    complete one is kept when its subset sums equal the target.
+    complete one is kept when its subset sums equal the target.  Preimages
+    larger than DEFAULT_SUBSET_SUMS_CAP are refused.
     """
     _check_bound(bound)
     group = target.group
@@ -91,8 +92,10 @@ def fs_preimages(target: Multiset, bound: int | None = None, cap: int = 20) -> l
     if card < 1 or card & (card - 1):
         raise DomainError(f"subset-sums multisets have power-of-two size, got {card}")
     m = card.bit_length() - 1
-    if m > cap:
-        raise ResourceCapError(f"preimage search capped at size {cap}, need {m}")
+    if m > DEFAULT_SUBSET_SUMS_CAP:
+        raise ResourceCapError(
+            f"preimage search capped at size {DEFAULT_SUBSET_SUMS_CAP}, need {m}"
+        )
 
     candidates = [
         x for x in target.support()

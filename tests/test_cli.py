@@ -5,8 +5,6 @@ from fractions import Fraction
 import pytest
 
 from fsrecon.cli import main
-from fsrecon.config import Config, load_config, parse_config_file
-from fsrecon.errors import DomainError
 from fsrecon.groups import cyclic
 from fsrecon.multisets import Multiset
 from fsrecon.radon import FunctionTable, RadonImage, forward, random_table
@@ -16,36 +14,6 @@ from fsrecon.search import ScanReport
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
-
-
-# -- config ---------------------------------------------------------------------
-
-
-def test_config_defaults_valid():
-    cfg = Config()
-    assert cfg.validate() is cfg
-
-
-def test_config_file_and_flag_precedence(tmp_path):
-    path = tmp_path / "fsrecon.cfg"
-    path.write_text("fs_cap = 30\nseed = 7  # comment\noutput = \"json\"\n")
-    assert parse_config_file(str(path)) == {"fs_cap": 30, "seed": 7, "output": "json"}
-    cfg = load_config(str(path))
-    assert cfg.fs_cap == 30 and cfg.seed == 7 and cfg.output == "json"
-    # Flags win over the file.
-    cfg = load_config(str(path), seed=9)
-    assert cfg.seed == 9
-
-
-def test_config_rejects_bad_values(tmp_path):
-    with pytest.raises(DomainError):
-        Config(fs_cap=0).validate()
-    with pytest.raises(DomainError):
-        Config(tolerance=2.0).validate()
-    path = tmp_path / "bad.cfg"
-    path.write_text("nonsense_key = 1\n")
-    with pytest.raises(DomainError):
-        load_config(str(path))
 
 
 # -- verdict commands --------------------------------------------------------------
@@ -80,6 +48,7 @@ def test_usage_errors(capsys):
     assert main(["ofs", "test", "4"]) == 2
     assert main(["totally-bogus"]) == 2
     assert main(["fs", "--in", "/nonexistent/path.json"]) == 2
+    assert main(["--config", "x", "ofs", "test", "15"]) == 2  # no config-file layer
 
 
 def test_resource_error_exit(tmp_path, capsys):
@@ -126,6 +95,13 @@ def test_counterexample_writes_pair(tmp_path, capsys):
     assert a.subset_sums(cap=8) == b.subset_sums(cap=8)
     code, _ = run(capsys, "counterexample", "15")
     assert code == 2  # member: no counterexample exists
+
+
+@pytest.mark.parametrize("argv, d", [(("113",), 28), (("41", "--mode", "totient"), 40)])
+def test_counterexample_exponent_past_subset_sums_cap(capsys, argv, d):
+    code, out = run(capsys, "--json", "counterexample", *argv)
+    obj = json.loads(out)
+    assert code == 0 and obj["d"] == d and obj["verified"] is True
 
 
 def test_radon_forward_invert_files(tmp_path, capsys):
@@ -309,6 +285,13 @@ def test_cyclo_commands(capsys):
     code, out = run(capsys, "--json", "cyclo", "ranks", "9")
     obj = json.loads(out)
     assert code == 0 and obj["pass"] is True and len(obj["checks"]) == 3
+
+
+def test_cyclo_ranks_cap(capsys):
+    code = main(["cyclo", "ranks", "47"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource error: ") and captured.err.count("\n") == 1
 
 
 def test_search_scan_report_round_trips(capsys):

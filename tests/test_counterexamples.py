@@ -4,7 +4,7 @@ import pytest
 
 from fsrecon.counterexamples import build, z2_pair
 from fsrecon.errors import DomainError, ResourceCapError
-from fsrecon.multisets import sim0_check, sim_check
+from fsrecon.multisets import Multiset, sim0_check, sim_check
 from fsrecon.ofs import complement_up_to, ord_mod
 
 
@@ -46,7 +46,15 @@ def test_build_totient_mode():
 
 def test_build_exponent_cap():
     with pytest.raises(ResourceCapError):
-        build(17, "totient", fs_cap=10)
+        build(73, "totient")  # d = phi(73) = 72 > MAX_EXPONENT
+
+
+def test_build_refuses_more_distinct_sums_than_the_cap(monkeypatch):
+    # n = 2^31 - 1 has d = 31, so verification would hold 2^31 distinct sums.
+    # Stub the sums, so that a missing guard fails here instead of filling memory.
+    monkeypatch.setattr(Multiset, "subset_sums", lambda *a, **k: pytest.fail("sums built"))
+    with pytest.raises(ResourceCapError):
+        build(2**31 - 1)
 
 
 def test_pairs_are_not_flip_equivalent_at_all():

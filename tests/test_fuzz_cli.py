@@ -1,6 +1,6 @@
 """The exit-code contract under malformed input: mutated table, image and
-multiset documents, and drawn ``search scan`` arguments, never raise out of
-the CLI.  Every run ends with its contract exit code, and exit 2 or 3
+multiset documents, drawn ``search scan`` arguments and drawn arguments of
+the commands that read no file never raise out of the CLI.  Every run ends with its contract exit code, and exit 2 or 3
 prints exactly one line to stderr and nothing to stdout."""
 import contextlib
 import io
@@ -104,6 +104,50 @@ def test_drawn_scan_arguments_keep_the_exit_contract(group, max_size, bound, bud
     argv = ["search", "scan", "--group", group, "--max-size", str(max_size), *bound, *budget]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert err.getvalue().count("\n") == 1 and out.getvalue() == ""
+
+
+# Sizes stay small enough that one run takes milliseconds: cyclo ranks
+# builds an SVD over phi(n) x n entries and radon verify n^(d+1) entries.
+N = st.integers(-2, 50)
+
+
+def _command(words, n, extra=st.just([])):
+    return st.tuples(n, extra).map(lambda t: [*words, str(t[0]), *t[1]])
+
+
+def _kernel_test(n):
+    """A vector of length n, of any length up to 22, or text that is no
+    vector at all."""
+    exact = st.lists(st.integers(-2, 2), min_size=max(n, 0), max_size=max(n, 0))
+    vector = (exact | st.lists(st.integers(-2, 2), max_size=22)).map(
+        lambda v: ",".join(map(str, v))
+    )
+    junk = st.sampled_from(["", "a,b", "1,,2", "1.5"])
+    return (vector | junk).map(lambda v: ["cyclo", "kernel-test", str(n), f"--vector={v}"])
+
+
+ARGUMENTS = st.one_of(
+    _command(["ofs", "test"], N, st.sampled_from([[], ["--brute"]])),
+    _command(["ofs", "list"], N, st.sampled_from([[], ["--complement"]])),
+    _command(["counterexample"], N, st.sampled_from([[], ["--mode", "totient"]])),
+    _command(["cyclo", "dist"], N),
+    st.integers(-2, 21).flatmap(_kernel_test),
+    _command(["cyclo", "ranks"], st.integers(-2, 21) | st.just(47)),
+    st.tuples(st.integers(-1, 12), st.integers(-1, 3)).map(
+        lambda nd: ["radon", "verify", "--n", str(nd[0]), "--d", str(nd[1])]
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(json_flag=st.sampled_from([[], ["--json"]]), argv=ARGUMENTS)
+def test_drawn_command_arguments_keep_the_exit_contract(json_flag, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*json_flag, *argv])
     assert code in (0, 1, 2, 3)
     if code in (2, 3):
         assert err.getvalue().count("\n") == 1 and out.getvalue() == ""
