@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from . import counterexamples, cyclo, ofs, radon, search
@@ -119,27 +118,27 @@ def _c06_radon_round_trip(quick, rng, corrupt):
     tables = 3 if quick else 20
     pairs = _round_trip_grid(quick)
     for n, d in pairs:
+        weights = radon.inversion_weights(n, d)
         for _ in range(tables):
             f = radon.random_table(n, d, rng)
-            if radon.invert(radon.forward(f)) != f:
+            if radon.backproject(radon.forward(f), weights) != f:
                 return False, f"round trip failed at (n, d) = ({n}, {d})"
     return True, f"{len(pairs)} moduli/dimension pairs x {tables} tables, bit-exact"
 
 
-def _criterion_weights(corrupt) -> Callable:
+def _criterion_weights(n, d, corrupt) -> radon.FunctionTable:
+    """The closed-form weights; with `corrupt`, the zero hom's weight is
+    raised by 1."""
+    weights = radon.inversion_weights(n, d)
     if not corrupt:
-        return radon.inversion_weight
-
-    def corrupted(h):
-        w = radon.inversion_weight(h)
-        return w + 1 if h.is_zero() else w
-
-    return corrupted
+        return weights
+    values = {h: weights.value(h) for h in radon.iter_point_tuples(n, d)}
+    values[(0,) * d] += 1
+    return radon.FunctionTable.from_values(n, d, values)
 
 
 def _c07_inverting_criterion(quick, rng, corrupt):
     limit = 9 if quick else 45
-    weights = _criterion_weights(corrupt)
     pairs = [
         (n, d)
         for n in range(1, limit + 1, 2)
@@ -147,18 +146,15 @@ def _c07_inverting_criterion(quick, rng, corrupt):
         if n**d <= 100_000
     ]
     for n, d in pairs:
-        if not radon.verify_inverting(weights, n, d):
+        if not radon.verify_inverting(_criterion_weights(n, d, corrupt)):
             return False, f"criterion sums failed at (n, d) = ({n}, {d})"
     return True, f"criterion holds on {len(pairs)} odd (n, d) pairs"
 
 
 def _c08_product_composition(quick, rng, corrupt):
-    lifted = radon.product_lift(radon.inversion_weight, radon.inversion_weight, 3, 5, 2)
-    bad = [
-        h.coeffs
-        for h in radon.iter_homs(15, 2)
-        if lifted(h) != radon.inversion_weight(h)
-    ]
+    lifted = radon.product_lift(radon.inversion_weights(3, 2), radon.inversion_weights(5, 2))
+    closed = radon.inversion_weights(15, 2)
+    bad = [h for h in radon.iter_point_tuples(15, 2) if lifted.value(h) != closed.value(h)]
     return not bad, f"225 homomorphisms compared, mismatches: {bad[:3]}"
 
 

@@ -80,13 +80,14 @@ def _cmd_ofs(args) -> int:
             ],
         )
         return 0 if verdict.member else 1
-    members = ofs.list_up_to(args.n)
-    if args.complement:
-        shown = ofs.complement_up_to(args.n)
-    else:
-        shown = members
-    obj = {"limit": args.n, "members": members, "complement": ofs.complement_up_to(args.n)}
-    _emit(args, obj, [str(n) for n in shown])
+    if args.n < 1:
+        raise DomainError(f"limit must be a positive integer, got {args.n}")
+    odd = range(1, args.n + 1, 2)
+    member = [ofs.is_member(n).member for n in odd]
+    members = [n for n, ok in zip(odd, member) if ok]
+    complement = [n for n, ok in zip(odd, member) if not ok]
+    obj = {"limit": args.n, "members": members, "complement": complement}
+    _emit(args, obj, [str(n) for n in (complement if args.complement else members)])
     return 0
 
 
@@ -118,7 +119,7 @@ def _cmd_radon(args) -> int:
         _write_text(args.out, radon.invert(img).to_json())
         return 0
     if args.action == "verify":
-        ok = radon.verify_inverting(radon.inversion_weight, args.n, args.d)
+        ok = radon.verify_inverting(radon.inversion_weights(args.n, args.d))
         _emit(
             args,
             {"n": args.n, "d": args.d, "inverting": ok},

@@ -3,8 +3,10 @@
 A homomorphism to Z/nZ is represented by its coefficient vector; the
 transform tabulates the fiber sums Rf(hom, c) over all homomorphisms and
 residues.  The inverse reads back, for each point x, only the slices through
-x: f(x) is the weighted sum of Rf(hom, hom(x)) with a rational weight per
-homomorphism that depends only on which primes divide all of its values.
+x: f(x) is the sum of lambda(hom) Rf(hom, hom(x)) over all homomorphisms.
+The weights lambda are a `FunctionTable` on the coefficient vectors, the
+same kind of object as f; the closed-form weight of a homomorphism depends
+only on which primes divide all of its values.
 
 No floating point is used anywhere.  A function table and its image are
 stored alike, as integer numerators in point order over one common positive
@@ -14,9 +16,10 @@ a shift-and-add along the residue axis, in d n^(d+2) operations and n^(d+1)
 memory.  It runs on numpy int64 only, on one or more residue channels: a
 bound proved up front caps every partial sum, and when it passes int64 the
 kernel runs once per modulus of a set whose product exceeds twice the bound,
-and an exact CRT rebuild recovers each integer.  The transform is not
-surjective, so ``invert`` does not validate its input; ``mass_consistent``
-is the explicit sanity check, and the character-sum route
+and an exact CRT rebuild recovers each integer.  Grids built from arguments
+stop at MAX_IMAGE_ENTRIES image entries.  The transform is not surjective,
+so ``invert`` does not validate its input; ``mass_consistent`` is the
+explicit sanity check, and the character-sum route
 ``fourier_invert_at_zero`` provides an independent second inverse.
 """
 from __future__ import annotations
@@ -26,26 +29,23 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .cyclo import CycloElement
-from .errors import DomainError
+from .errors import DomainError, ResourceCapError
 from .ofs import divisors, prime_factors, totient
 
 __all__ = [
-    "Hom",
-    "iter_homs",
+    "MAX_IMAGE_ENTRIES",
     "iter_point_tuples",
     "FunctionTable",
     "RadonImage",
-    "prime_divides_hom",
-    "inversion_weight",
+    "inversion_weights",
     "forward",
+    "backproject",
     "invert",
     "verify_inverting",
     "product_lift",
@@ -53,6 +53,9 @@ __all__ = [
     "random_table",
 ]
 
+# Largest image n^(d+1) built from arguments alone; criterion 07's (45, 3)
+# has 4.1M entries.
+MAX_IMAGE_ENTRIES = 2**23
 _INT64_SAFE = 2**62
 # "p/q" with q > 0: a subset of what Fraction parses, and what `_ratio_strs` writes.
 _RATIO = re.compile(r"(-?[0-9]+)/(0*[1-9][0-9]*)")
@@ -61,6 +64,18 @@ _RATIO = re.compile(r"(-?[0-9]+)/(0*[1-9][0-9]*)")
 def _check_dims(n: int, d: int) -> None:
     if type(n) is not int or type(d) is not int or n < 1 or d < 1:
         raise DomainError(f"need integers n >= 1 and d >= 1, got n = {n!r}, d = {d!r}")
+
+
+def _check_size(n: int, d: int) -> None:
+    """Refuse a grid whose image passes MAX_IMAGE_ENTRIES.  The kernels take
+    d steps even when n = 1, so d stops at the cap's bit length, past which
+    n^(d+1) exceeds the cap for every n >= 2; n^(d+1) is only computed
+    below it."""
+    if d >= MAX_IMAGE_ENTRIES.bit_length() or n ** (d + 1) > MAX_IMAGE_ENTRIES:
+        raise ResourceCapError(
+            f"(Z/{n})^{d} is past the cap: need n^(d+1) <= {MAX_IMAGE_ENTRIES} image"
+            f" entries and d < {MAX_IMAGE_ENTRIES.bit_length()}"
+        )
 
 
 def _index(n: int, d: int, coords) -> int:
@@ -76,61 +91,8 @@ def _index(n: int, d: int, coords) -> int:
     return idx
 
 
-@dataclass(frozen=True)
-class Hom:
-    """A homomorphism (Z/nZ)^d -> Z/nZ, x |-> sum(coeffs * x) mod n."""
-
-    n: int
-    d: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        _index(self.n, self.d, self.coeffs)
-
-    @classmethod
-    def reduced(cls, n: int, d: int, coeffs: Iterable[int]) -> Hom:
-        return cls(n, d, tuple(a % n for a in coeffs))
-
-    def apply(self, coords: Iterable[int]) -> int:
-        return sum(a * x for a, x in zip(self.coeffs, coords)) % self.n
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
-
 def iter_point_tuples(n: int, d: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(n), repeat=d)
-
-
-def iter_homs(n: int, d: int) -> Iterator[Hom]:
-    for coeffs in iter_point_tuples(n, d):
-        yield Hom(n, d, coeffs)
-
-
-def prime_divides_hom(p: int, hom: Hom) -> bool:
-    """True when the prime p | n divides every value of the homomorphism;
-    the image is generated by the coefficients, so this is p | gcd."""
-    if hom.n % p != 0:
-        raise DomainError(f"{p} does not divide the modulus {hom.n}")
-    g = math.gcd(math.gcd(*hom.coeffs), hom.n)
-    return g % p == 0
-
-
-def _closed_form_weight(n: int, d: int, g: int) -> tuple[int, int]:
-    """(numerator, denominator) of `inversion_weight` for a homomorphism
-    whose coefficients have gcd g with n."""
-    num = 1
-    for p in prime_factors(n):
-        if g % p == 0:
-            num *= 1 - p ** (d - 1)
-    return num, n ** (d - 1) * totient(n)
-
-
-def inversion_weight(hom: Hom) -> Fraction:
-    """The closed-form inverting weight: product of (1 - p^(d-1)) over the
-    primes dividing the homomorphism, divided by n^(d-1) phi(n)."""
-    g = math.gcd(math.gcd(*hom.coeffs), hom.n)
-    return Fraction(*_closed_form_weight(hom.n, hom.d, g))
 
 
 # -- tables ------------------------------------------------------------------
@@ -256,6 +218,7 @@ def random_table(
     """Random rational table over the lcm of `denominators`; the defaults keep
     the integer kernel inside int64 for every modulus in the supported range."""
     _check_dims(n, d)
+    _check_size(n, d)
     den = math.lcm(*denominators)
     nums = [
         rng.randint(-numerator_bound, numerator_bound) * (den // rng.choice(denominators))
@@ -315,6 +278,42 @@ class RadonImage:
     @classmethod
     def from_json(cls, text: str) -> RadonImage:
         return cls.from_obj(json.loads(text))
+
+
+# -- weights ------------------------------------------------------------------
+
+
+def inversion_weights(n: int, d: int) -> FunctionTable:
+    """The closed-form inverting weights, a table on coefficient vectors: the
+    product of (1 - p^(d-1)) over the primes p that divide every value of
+    the homomorphism, over n^(d-1) phi(n).  The values are generated by the
+    coefficients, so p divides them all iff p divides gcd(coeffs, n), and
+    the numerator is a lookup by that divisor."""
+    _check_dims(n, d)
+    _check_size(n, d)
+    primes = prime_factors(n)
+    by_divisor = {
+        g: math.prod(1 - p ** (d - 1) for p in primes if g % p == 0) for g in divisors(n)
+    }
+    nums = [by_divisor[math.gcd(n, *coeffs)] for coeffs in iter_point_tuples(n, d)]
+    return FunctionTable(n, d, nums, n ** (d - 1) * totient(n))
+
+
+def product_lift(weights_m: FunctionTable, weights_n: FunctionTable) -> FunctionTable:
+    """Combine inverting weights for coprime moduli m and n into weights for
+    m*n: a coefficient vector gets the product of the weights of its
+    reductions mod m and mod n."""
+    m, n, d = weights_m.n, weights_n.n, weights_m.d
+    if weights_n.d != d:
+        raise DomainError(f"weights for dimensions {d} and {weights_n.d} do not combine")
+    if math.gcd(m, n) != 1:
+        raise DomainError(f"moduli {m} and {n} are not coprime")
+    nums = [
+        weights_m._nums[_index(m, d, [a % m for a in coeffs])]
+        * weights_n._nums[_index(n, d, [a % n for a in coeffs])]
+        for coeffs in iter_point_tuples(m * n, d)
+    ]
+    return FunctionTable(m * n, d, nums, weights_m._den * weights_n._den)
 
 
 # -- integer kernels ----------------------------------------------------------
@@ -417,24 +416,6 @@ def forward(f: FunctionTable) -> RadonImage:
     return RadonImage(n, d, _exact(sweep, f._nums, sum(map(abs, f._nums)), n), f._den)
 
 
-def _weight_ints(weights, n: int, d: int) -> tuple[list[int], int]:
-    if weights is None or weights is inversion_weight:
-        return _builtin_weight_ints(n, d)
-    return _fill(n, d, [(h.coeffs, weights(h)) for h in iter_homs(n, d)])
-
-
-@lru_cache(maxsize=32)
-def _builtin_weight_ints(n: int, d: int) -> tuple[list[int], int]:
-    """Closed-form weights as integers over n^(d-1) phi(n); the numerator
-    depends only on gcd(coeffs, n), so it is a divisor lookup."""
-    by_divisor = {g: _closed_form_weight(n, d, g) for g in divisors(n)}
-    nums = [
-        by_divisor[math.gcd(math.gcd(*coeffs), n)][0]
-        for coeffs in iter_point_tuples(n, d)
-    ]
-    return nums, by_divisor[n][1]
-
-
 def _backprojection(wnums: list[int], n: int, d: int) -> Callable:
     """The kernel g, q -> sum_h w(h) image[h, h.x] for every point x, in
     point order, from an image g in (h1..hd, c) order.  The adjoint sweep:
@@ -443,7 +424,7 @@ def _backprojection(wnums: list[int], n: int, d: int) -> Callable:
     `_moduli` assumes."""
     a = np.arange(n)
 
-    def backproject(g: np.ndarray, q: int | None) -> np.ndarray:
+    def kernel(g: np.ndarray, q: int | None) -> np.ndarray:
         w = wnums if q is None else [(x + q // 2) % q - q // 2 for x in wnums]
         g = np.ascontiguousarray(g.reshape(n, -1, n).swapaxes(1, 2))  # (h1, c, h2..hd)
         g *= np.array(w, dtype=np.int64).reshape(n, 1, -1)
@@ -455,14 +436,17 @@ def _backprojection(wnums: list[int], n: int, d: int) -> Callable:
             out += g[b, a * b % n]
         return _reduced(out, q).T.reshape(-1)
 
-    return backproject
+    return kernel
 
 
-def invert(img: RadonImage, weights: Callable[[Hom], Fraction] | None = None) -> FunctionTable:
-    """Reconstruct the table from its image: f(x) is the weighted sum of the
-    slices Rf(hom, hom(x)).  The input is trusted to be a genuine image."""
+def backproject(img: RadonImage, weights: FunctionTable) -> FunctionTable:
+    """The weighted sum of the slices through each point x: the sum over
+    the homomorphisms h of weights(h) * img(h, h(x)), exact.  With
+    inverting weights and a genuine image it is the table behind the image."""
     n, d = img.n, img.d
-    wnums, wden = _weight_ints(weights, n, d)
+    if (weights.n, weights.d) != (n, d):
+        raise DomainError(f"weights on (Z/{weights.n})^{weights.d} do not fit (Z/{n})^{d}")
+    wnums = weights._nums
     try:  # numpy finds the largest entry in the pass that builds the array
         image = np.array(img._nums, dtype=np.int64)
         top = max(int(image.max()), -int(image.min()))
@@ -473,43 +457,26 @@ def invert(img: RadonImage, weights: Callable[[Hom], Fraction] | None = None) ->
     # bound also caps every weight, which the kernel holds too.
     bound = sum(map(abs, wnums)) * max(top, 1)
     raw = _exact(_backprojection(wnums, n, d), image, bound, n, max(map(abs, wnums)))
-    return FunctionTable(n, d, raw, img._den * wden)
+    return FunctionTable(n, d, raw, img._den * weights._den)
 
 
-def verify_inverting(weights: Callable[[Hom], Fraction], n: int, d: int) -> bool:
+def invert(img: RadonImage) -> FunctionTable:
+    """Reconstruct the table from its image with the closed-form weights.
+    The input is trusted to be a genuine image."""
+    return backproject(img, inversion_weights(img.n, img.d))
+
+
+def verify_inverting(weights: FunctionTable) -> bool:
     """Check the inverting-function criterion exactly: for every point x the
     weights of the homomorphisms vanishing at x must sum to 1 at x = 0 and
-    to 0 elsewhere.  These sums are the inverse of the image of delta_0,
-    which is [c = 0] on every homomorphism."""
-    _check_dims(n, d)
-    wnums, den = _weight_ints(weights, n, d)
+    to 0 elsewhere.  These sums are the backprojection of the image of
+    delta_0, which is [c = 0] on every homomorphism; that image is built
+    straight as an int64 array, which `backproject` reads as it is."""
+    n, d = weights.n, weights.d
     delta_image = np.zeros(n ** (d + 1), dtype=np.int64)
     delta_image[::n] = 1
-    bound = sum(map(abs, wnums))
-    sums = _exact(_backprojection(wnums, n, d), delta_image, bound, n, max(map(abs, wnums)))
-    return sums[0] == den and not any(sums[1:])
-
-
-def product_lift(
-    weights_m: Callable[[Hom], Fraction],
-    weights_n: Callable[[Hom], Fraction],
-    m: int,
-    n: int,
-    d: int,
-) -> Callable[[Hom], Fraction]:
-    """Combine inverting weights for coprime moduli m and n into weights for
-    m*n by reducing the coefficient vector mod each factor."""
-    if math.gcd(m, n) != 1:
-        raise DomainError(f"moduli {m} and {n} are not coprime")
-
-    def lifted(hom: Hom) -> Fraction:
-        if hom.n != m * n or hom.d != d:
-            raise DomainError(f"expected a homomorphism for (Z/{m * n})^{d}")
-        part_m = weights_m(Hom.reduced(m, d, hom.coeffs))
-        part_n = weights_n(Hom.reduced(n, d, hom.coeffs))
-        return Fraction(part_m) * Fraction(part_n)
-
-    return lifted
+    sums = backproject(RadonImage(n, d, delta_image, 1), weights)
+    return sums._nums[0] == sums._den and not any(sums._nums[1:])
 
 
 def fourier_invert_at_zero(img: RadonImage) -> Fraction:

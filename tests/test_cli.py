@@ -51,6 +51,14 @@ def test_usage_errors(capsys):
     assert main(["--config", "x", "ofs", "test", "15"]) == 2  # no config-file layer
 
 
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_ofs_list_rejects_limits_below_1(capsys, limit):
+    code = main(["ofs", "list", limit])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_resource_error_exit(tmp_path, capsys):
     big = Multiset(cyclic(3), {cyclic(3).zero(): 40})
     path = tmp_path / "big.json"
@@ -145,6 +153,23 @@ def test_radon_rejects_empty_dimensions(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("radon", "verify", "--n", "100000", "--d", "3"),
+        ("radon", "bench", "--n", "3000", "--d", "3"),
+        ("radon", "verify", "--n", "2", "--d", "40"),
+        ("radon", "verify", "--n", "1", "--d", "30000000"),
+    ],
+    ids=["verify-wide", "bench-wide", "verify-deep", "verify-trivial-modulus"],
+)
+def test_radon_grids_past_the_size_cap_exit_3(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,33 +1,36 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fsrecon.errors import DomainError
+from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.radon import (
     FunctionTable,
-    Hom,
     RadonImage,
+    backproject,
     forward,
     fourier_invert_at_zero,
-    inversion_weight,
+    inversion_weights,
     invert,
-    iter_homs,
     iter_point_tuples,
-    prime_divides_hom,
     product_lift,
     random_table,
     verify_inverting,
 )
 
 
-def criterion_oracle(weights, n, d):
+def apply(h, x, n):
+    """The homomorphism with coefficient vector h, at the point x."""
+    return sum(a * b for a, b in zip(h, x)) % n
+
+
+def criterion_oracle(weights):
     """Literal double loop over the criterion sums, all Fractions."""
+    n, d = weights.n, weights.d
+    homs = [(h, weights.value(h)) for h in iter_point_tuples(n, d)]
     for x in iter_point_tuples(n, d):
-        total = sum(
-            (Fraction(weights(h)) for h in iter_homs(n, d) if h.apply(x) == 0),
-            Fraction(0),
-        )
+        total = sum((w for h, w in homs if apply(h, x, n) == 0), Fraction(0))
         if total != (1 if all(c == 0 for c in x) else 0):
             return False
     return True
@@ -35,23 +38,25 @@ def criterion_oracle(weights, n, d):
 
 def fiber_sums_oracle(f):
     """Literal double loop over homomorphisms and points, all Fractions."""
-    sums = {(h.coeffs, c): Fraction(0) for h in iter_homs(f.n, f.d) for c in range(f.n)}
-    values = [(x, f.value(x)) for x in iter_point_tuples(f.n, f.d)]
-    for h in iter_homs(f.n, f.d):
+    n, d = f.n, f.d
+    sums = {(h, c): Fraction(0) for h in iter_point_tuples(n, d) for c in range(n)}
+    values = [(x, f.value(x)) for x in iter_point_tuples(n, d)]
+    for h in iter_point_tuples(n, d):
         for x, v in values:
-            sums[h.coeffs, h.apply(x)] += v
+            sums[h, apply(h, x, n)] += v
     return sums
 
 
 def weighted_slices_oracle(img, weights):
     """Literal sum of w(hom) Rf(hom, hom(x)) over all homs at every point x,
-    all Fractions: what `invert` computes, inverting weights or not."""
-    homs = [(h, Fraction(weights(h))) for h in iter_homs(img.n, img.d)]
+    all Fractions: what `backproject` computes, inverting weights or not."""
+    n, d = img.n, img.d
+    homs = [(h, weights.value(h)) for h in iter_point_tuples(n, d)]
     values = {
-        x: sum((w * img.value(h.coeffs, h.apply(x)) for h, w in homs), Fraction(0))
-        for x in iter_point_tuples(img.n, img.d)
+        x: sum((w * img.value(h, apply(h, x, n)) for h, w in homs), Fraction(0))
+        for x in iter_point_tuples(n, d)
     }
-    return FunctionTable.from_values(img.n, img.d, values)
+    return FunctionTable.from_values(n, d, values)
 
 
 def huge_table(n, d, seed, big):
@@ -82,17 +87,12 @@ def moved_weights(n, d, t, onto):
     hom with coefficients `onto` (dropped when None).  For odd n, (2, 0, ...)
     vanishes at the same points as (1, 0, ...), so moving t there keeps the
     weights inverting; moving it onto the zero hom keeps only their total."""
-    source = (1,) + (0,) * (d - 1)
-
-    def weights(h):
-        w = inversion_weight(h)
-        if h.coeffs == source:
-            w -= t
-        if h.coeffs == onto:
-            w += t
-        return w
-
-    return weights
+    closed = inversion_weights(n, d)
+    values = {h: closed.value(h) for h in iter_point_tuples(n, d)}
+    values[(1,) + (0,) * (d - 1)] -= t
+    if onto is not None:
+        values[onto] += t
+    return FunctionTable.from_values(n, d, values)
 
 
 # -- forward ------------------------------------------------------------------
@@ -100,9 +100,9 @@ def moved_weights(n, d, t, onto):
 
 def test_forward_delta():
     img = forward(FunctionTable.delta(3, 2))
-    for h in iter_homs(3, 2):
+    for h in iter_point_tuples(3, 2):
         for c in range(3):
-            assert img.value(h.coeffs, c) == (1 if c == 0 else 0)
+            assert img.value(h, c) == (1 if c == 0 else 0)
 
 
 def test_forward_n2_d1_by_hand():
@@ -117,10 +117,10 @@ def test_forward_n2_d1_by_hand():
 def test_forward_constant_fiber_sizes():
     img = forward(FunctionTable.constant(3, 2, 1))
     assert img.value((0, 0), 0) == 9
-    for h in iter_homs(3, 2):
-        if not h.is_zero():
+    for h in iter_point_tuples(3, 2):
+        if any(h):
             for c in range(3):
-                assert img.value(h.coeffs, c) == 3
+                assert img.value(h, c) == 3
 
 
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 1), (1, 1), (4, 2), (5, 3), (3, 4), (6, 2)])
@@ -140,51 +140,54 @@ def test_mass_conservation_and_dilation_invariance():
         assert img.mass_consistent()
         masses = img.mass_by_hom()
         assert all(m == f.total() for m in masses)
-        units = [a for a in range(1, n) if __import__("math").gcd(a, n) == 1]
-        for h in iter_homs(n, d):
+        units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+        for h in iter_point_tuples(n, d):
             for a in units:
-                scaled = tuple(a * v % n for v in h.coeffs)
+                scaled = tuple(a * v % n for v in h)
                 for c in range(n):
-                    assert img.value(scaled, a * c % n) == img.value(h.coeffs, c)
+                    assert img.value(scaled, a * c % n) == img.value(h, c)
 
 
 # -- weights ------------------------------------------------------------------
 
 
-def test_prime_divides_hom():
-    assert prime_divides_hom(3, Hom(9, 2, (3, 6)))
-    assert not prime_divides_hom(3, Hom(9, 2, (1, 3)))
-    assert prime_divides_hom(3, Hom(9, 2, (0, 0)))
-    with pytest.raises(DomainError):
-        prime_divides_hom(5, Hom(9, 2, (1, 1)))
-
-
-def test_prime_divides_hom_matches_literal_definition():
-    for n in (9, 12):
-        for h in iter_homs(n, 2):
-            for p in (2, 3):
-                if n % p:
-                    continue
-                literal = all(h.apply(x) % p == 0 for x in iter_point_tuples(n, 2))
-                assert prime_divides_hom(p, h) == literal
+def test_weights_match_the_literal_definition():
+    """Each weight from its definition: the product of (1 - p^(d-1)) over the
+    primes p | n with p | h(x) for every point x, over n^(d-1) phi(n), with
+    the primes and phi(n) found by brute force."""
+    d = 2
+    for n in (9, 12, 15):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+        phi = sum(math.gcd(k, n) == 1 for k in range(n))
+        weights = inversion_weights(n, d)
+        points = list(iter_point_tuples(n, d))
+        for h in points:
+            values = {apply(h, x, n) for x in points}
+            expected = Fraction(1, n ** (d - 1) * phi)
+            for p in primes:
+                if all(v % p == 0 for v in values):
+                    expected *= 1 - p ** (d - 1)
+            assert weights.value(h) == expected
 
 
 def test_weight_values_prime_d1():
     for p in (3, 5, 7):
-        assert inversion_weight(Hom(p, 1, (0,))) == 0
+        weights = inversion_weights(p, 1)
+        assert weights.value((0,)) == 0
         for a in range(1, p):
-            assert inversion_weight(Hom(p, 1, (a,))) == Fraction(1, p - 1)
+            assert weights.value((a,)) == Fraction(1, p - 1)
 
 
 def test_weight_values_n3_d2():
-    assert inversion_weight(Hom(3, 2, (0, 0))) == Fraction(-1, 3)
-    for h in iter_homs(3, 2):
-        if not h.is_zero():
-            assert inversion_weight(h) == Fraction(1, 6)
+    weights = inversion_weights(3, 2)
+    assert weights.value((0, 0)) == Fraction(-1, 3)
+    for h in iter_point_tuples(3, 2):
+        if any(h):
+            assert weights.value(h) == Fraction(1, 6)
 
 
 def test_weight_trivial_modulus():
-    assert inversion_weight(Hom(1, 3, (0, 0, 0))) == 1
+    assert inversion_weights(1, 3).value((0, 0, 0)) == 1
 
 
 # -- criterion ------------------------------------------------------------------
@@ -192,38 +195,38 @@ def test_weight_trivial_modulus():
 
 def test_criterion_small_cases_against_oracle():
     for n, d in ((3, 2), (4, 2), (5, 1), (6, 2), (8, 2), (9, 2), (2, 3)):
-        assert criterion_oracle(inversion_weight, n, d)
-        assert verify_inverting(inversion_weight, n, d)
+        weights = inversion_weights(n, d)
+        assert criterion_oracle(weights)
+        assert verify_inverting(weights)
 
 
 def test_criterion_rejects_zero_weights():
-    assert not verify_inverting(lambda h: Fraction(0), 3, 2)
+    assert not verify_inverting(FunctionTable.constant(3, 2, 0))
 
 
 def test_criterion_rejects_corrupted_weights():
-    def corrupted(h):
-        w = inversion_weight(h)
-        return w + 1 if h.is_zero() else w
-
-    assert not verify_inverting(corrupted, 3, 2)
-    assert not verify_inverting(corrupted, 3, 3)
+    for d in (2, 3):
+        closed = inversion_weights(3, d)
+        values = {h: closed.value(h) for h in iter_point_tuples(3, d)}
+        values[(0,) * d] += 1
+        assert not verify_inverting(FunctionTable.from_values(3, d, values))
 
 
 def test_criterion_mid_size_numpy_paths():
-    assert verify_inverting(inversion_weight, 15, 2)
-    assert verify_inverting(inversion_weight, 7, 3)
+    assert verify_inverting(inversion_weights(15, 2))
+    assert verify_inverting(inversion_weights(7, 3))
 
 
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 1), (3, 1), (5, 3), (3, 4), (9, 2)])
 def test_criterion_verdicts_match_oracle(n, d):
-    # Moving 1/3 keeps int64; moving 10^30 forces Python integers.
-    cases = [inversion_weight, lambda h: Fraction(0)]
+    # Moving 1/3 keeps int64; moving 10^30 forces several residue channels.
+    cases = [inversion_weights(n, d), FunctionTable.constant(n, d, 0)]
     for t in (Fraction(1, 3), Fraction(10**30)) if n > 1 else ():
         cases += [moved_weights(n, d, t, None), moved_weights(n, d, t, (0,) * d)]
         if n % 2:
             cases.append(moved_weights(n, d, t, (2,) + (0,) * (d - 1)))
     for weights in cases:
-        assert verify_inverting(weights, n, d) == criterion_oracle(weights, n, d)
+        assert verify_inverting(weights) == criterion_oracle(weights)
 
 
 # -- inversion ------------------------------------------------------------------
@@ -261,9 +264,24 @@ def test_round_trip_huge_weights():
     # their huge parts no longer cancel.
     for g in (random_table(5, 3, random.Random(19)), FunctionTable.constant(5, 3, 0)):
         img = forward(g)
-        assert invert(img, moved_weights(5, 3, Fraction(10**30), (2, 0, 0))) == g
+        assert backproject(img, moved_weights(5, 3, Fraction(10**30), (2, 0, 0))) == g
         off = moved_weights(5, 3, Fraction(10**30), (0, 0, 0))
-        assert invert(img, off) == weighted_slices_oracle(img, off)
+        assert backproject(img, off) == weighted_slices_oracle(img, off)
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 3), Fraction(10**30)])
+def test_invert_non_genuine_image_matches_oracle(delta):
+    """`invert` does not validate its input: on an image that no table has,
+    it still returns the closed-form weighted slice sums, exactly."""
+    img = forward(random_table(4, 2, random.Random(26))).perturbed((1, 3), 2, delta)
+    assert invert(img) == weighted_slices_oracle(img, inversion_weights(4, 2))
+
+
+def test_backproject_rejects_weights_of_another_grid():
+    img = forward(random_table(3, 2, random.Random(27)))
+    for weights in (inversion_weights(5, 2), inversion_weights(3, 1)):
+        with pytest.raises(DomainError):
+            backproject(img, weights)
 
 
 def test_slice_locality():
@@ -275,9 +293,8 @@ def test_slice_locality():
     h, c0 = (2, 3), 4
     bumped = invert(img.perturbed(h, c0, Fraction(1, 3)))
     base = invert(img)
-    hom = Hom(5, 2, h)
     for x in iter_point_tuples(5, 2):
-        if hom.apply(x) != c0:
+        if apply(h, x, 5) != c0:
             assert bumped.value(x) == base.value(x)
         else:
             assert bumped.value(x) != base.value(x)
@@ -287,21 +304,29 @@ def test_slice_locality():
 
 
 def test_product_lift_equals_closed_form():
-    lifted = product_lift(inversion_weight, inversion_weight, 3, 5, 2)
-    for h in iter_homs(15, 2):
-        assert lifted(h) == inversion_weight(h)
-    assert verify_inverting(lifted, 15, 2)
+    lifted = product_lift(inversion_weights(3, 2), inversion_weights(5, 2))
+    assert lifted == inversion_weights(15, 2)
+    assert verify_inverting(lifted)
+
+
+def test_product_lift_multiplies_the_reduced_weights():
+    wm, wn = moved_weights(3, 2, Fraction(1, 3), (2, 0)), inversion_weights(4, 2)
+    lifted = product_lift(wm, wn)
+    for h in iter_point_tuples(12, 2):
+        reduced_m, reduced_n = tuple(a % 3 for a in h), tuple(a % 4 for a in h)
+        assert lifted.value(h) == wm.value(reduced_m) * wn.value(reduced_n)
 
 
 def test_product_lift_non_coprime():
     with pytest.raises(DomainError):
-        product_lift(inversion_weight, inversion_weight, 3, 3, 2)
+        product_lift(inversion_weights(3, 2), inversion_weights(3, 2))
+    with pytest.raises(DomainError):
+        product_lift(inversion_weights(3, 2), inversion_weights(5, 1))
 
 
 def test_product_lift_trivial_factor():
-    lifted = product_lift(inversion_weight, inversion_weight, 1, 7, 2)
-    for h in iter_homs(7, 2):
-        assert lifted(h) == inversion_weight(h)
+    lifted = product_lift(inversion_weights(1, 2), inversion_weights(7, 2))
+    assert lifted == inversion_weights(7, 2)
 
 
 # -- the character-sum inverse ------------------------------------------------------
@@ -365,10 +390,19 @@ def test_function_table_requires_complete_table():
 @pytest.mark.parametrize("n,d", [(3, 0), (0, 2), (3, -1)])
 def test_entry_points_reject_empty_dimensions(n, d):
     with pytest.raises(DomainError):
-        verify_inverting(inversion_weight, n, d)
+        inversion_weights(n, d)
     with pytest.raises(DomainError):
         random_table(n, d, random.Random(0))
     with pytest.raises(DomainError):
         FunctionTable.from_obj({"n": n, "d": d, "values": [[[], "1/1"]]})
     with pytest.raises(DomainError):
         RadonImage.from_obj({"n": n, "d": d, "entries": [[[], 0, "1/1"]]})
+
+
+@pytest.mark.parametrize("n,d", [(100_000, 3), (3000, 3), (2, 40), (1, 30_000_000), (2, 23)])
+def test_grids_past_the_size_cap_are_refused(n, d):
+    with pytest.raises(ResourceCapError):
+        inversion_weights(n, d)
+    with pytest.raises(ResourceCapError):
+        random_table(n, d, random.Random(0))
+
