@@ -13,7 +13,7 @@ import time
 
 from . import acceptance, counterexamples, cyclo, ofs, radon, search
 from .errors import DomainError, ResourceCapError, VerificationError
-from .groups import GroupSpec
+from .groups import GroupSpec, cyclic
 from .multisets import Multiset, sim0_check
 from .radon import FunctionTable, RadonImage
 
@@ -80,12 +80,9 @@ def _cmd_ofs(args) -> int:
             ],
         )
         return 0 if verdict.member else 1
-    if args.n < 1:
-        raise DomainError(f"limit must be a positive integer, got {args.n}")
-    odd = range(1, args.n + 1, 2)
-    member = [ofs.is_member(n).member for n in odd]
-    members = [n for n, ok in zip(odd, member) if ok]
-    complement = [n for n, ok in zip(odd, member) if not ok]
+    member = {n: ofs.is_member(n).member for n in ofs.odd_up_to(args.n)}
+    members = [n for n, ok in member.items() if ok]
+    complement = [n for n, ok in member.items() if not ok]
     obj = {"limit": args.n, "members": members, "complement": complement}
     _emit(args, obj, [str(n) for n in (complement if args.complement else members)])
     return 0
@@ -232,8 +229,6 @@ def _bench_suite(suite: str, seed: int) -> list[dict]:
         for n, d in ((3, 4), (9, 2), (5, 3), (3, 8)):
             rows.append(_bench_radon_case(n, d, rng))
     elif suite == "fs":
-        from .groups import cyclic
-
         group = cyclic(257)
         for size in (8, 12, 16, 20):
             ms = Multiset.from_elements(group, (rng.randrange(257) for _ in range(size)))
@@ -250,8 +245,6 @@ def _bench_suite(suite: str, seed: int) -> list[dict]:
                 }
             )
     elif suite == "search":
-        from .groups import cyclic
-
         cases = [
             (cyclic(5), 3, None),
             (cyclic(7), 3, None),

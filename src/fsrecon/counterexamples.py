@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ResourceCapError, VerificationError
 from .groups import GroupSpec, cyclic
-from .multisets import DEFAULT_SUBSET_SUMS_CAP, Multiset, sim0_check
+from .multisets import MAX_DISTINCT_SUMS, Multiset, sim0_check
 from .ofs import is_member
 
 __all__ = ["CounterexamplePair", "build", "z2_pair"]
@@ -62,8 +62,8 @@ def build(n: int, d_mode: str = "order") -> CounterexamplePair:
     d_mode "order" uses the minimal exponent d with n | 2^d - 1, keeping the
     subset-sums size at 2^ord_n(2); "totient" uses d = phi(n).  Either way
     d may not exceed MAX_EXPONENT, and the min(n, 2^d) distinct subset sums
-    that verification builds may not exceed the 2^DEFAULT_SUBSET_SUMS_CAP
-    that the subset-sums cap allows anywhere else.
+    that verification builds may not exceed MAX_DISTINCT_SUMS, the cap that
+    subset sums keep anywhere else.
     """
     if d_mode not in ("order", "totient"):
         raise DomainError(f"unknown d_mode {d_mode!r}")
@@ -74,10 +74,10 @@ def build(n: int, d_mode: str = "order") -> CounterexamplePair:
     if d > MAX_EXPONENT:
         raise ResourceCapError(f"exponent {d} exceeds cap {MAX_EXPONENT} for n={n}")
     distinct = min(n, 2**d)
-    if distinct > 2**DEFAULT_SUBSET_SUMS_CAP:
+    if distinct > MAX_DISTINCT_SUMS:
         raise ResourceCapError(
             f"n={n}, d={d}: verification needs up to {distinct} distinct subset sums, "
-            f"over the cap 2^{DEFAULT_SUBSET_SUMS_CAP}"
+            f"over the cap {MAX_DISTINCT_SUMS}"
         )
     powers = {pow(2, j, n) for j in range(verdict.ord2)}
     banned = powers | {(n - p) % n for p in powers}
@@ -95,5 +95,4 @@ def z2_pair() -> CounterexamplePair:
     group = cyclic(2)
     a = Multiset.from_elements(group, [0, 1])
     a_prime = Multiset.from_elements(group, [1, 1])
-    pair = _verify(2, None, None, a, a_prime, fs_cap=2)
-    return pair
+    return _verify(2, None, None, a, a_prime, fs_cap=2)

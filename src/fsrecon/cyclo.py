@@ -5,9 +5,9 @@ Elements are residues modulo the n-th cyclotomic polynomial, so equality of
 canonical coefficient vectors is equality in the field (reducing mod t^n - 1
 instead would introduce zero divisors).  The units of interest are 1 + w^j
 for a primitive n-th root of unity w; a "unit word" is a formal integer
-exponent vector on those generators, evaluated as an exact fraction with the
-negative exponents collected in the denominator (no inverses are ever
-computed in the ring; equality goes through cross-multiplication).
+exponent vector on those generators, evaluated as the pair of products over
+its positive and its negated negative exponents (no inverses are computed
+in the ring; the word is 1 when the two products are equal).
 
 The rank checks at the bottom certify, for odd n:
 
@@ -23,7 +23,6 @@ The rank checks at the bottom certify, for odd n:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -35,8 +34,6 @@ from .ofs import divisors, is_member, prime_factors, totient
 __all__ = [
     "cyclotomic_poly",
     "CycloElement",
-    "CycloFraction",
-    "UnitWord",
     "unit_word_eval",
     "verify_distribution",
     "fold_exponents",
@@ -50,9 +47,12 @@ __all__ = [
     "unit_group_rank_numeric",
 ]
 
-# Largest n the rank certificates accept, and the working precision and
-# singular-value cutoff of the numeric unit-rank check.
+# Largest n the rank certificates accept, the largest n whose distribution
+# relations are checked (checking them all takes on the order of n^3 steps),
+# and the working precision and singular-value cutoff of the numeric
+# unit-rank check.
 RANK_CAP = 45
+DISTRIBUTION_CAP = 255
 RANK_PRECISION_BITS = 100
 RANK_TOLERANCE = 1e-8
 
@@ -159,22 +159,13 @@ class CycloElement:
             self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __sub__(self, other: CycloElement) -> CycloElement:
-        self._check(other)
-        return CycloElement(
-            self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> CycloElement:
-        return CycloElement(self.n, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other: CycloElement) -> CycloElement:
         self._check(other)
         return CycloElement.from_poly(self.n, _poly_mul(self.coeffs, other.coeffs))
 
     def __pow__(self, e: int) -> CycloElement:
         if e < 0:
-            raise DomainError("negative powers need CycloFraction")
+            raise DomainError(f"negative exponent {e}: ring elements are not inverted")
         result = CycloElement.rational(self.n, 1)
         base = self
         while e:
@@ -187,12 +178,7 @@ class CycloElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloElement):
             return NotImplemented
-        return self.n == other.n and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, tuple(Fraction(c) for c in self.coeffs)))
+        return self.n == other.n and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         return f"CycloElement({self.n}, {self.coeffs})"
@@ -212,65 +198,24 @@ class CycloElement:
         return Fraction(self.coeffs[0])
 
 
-@dataclass(frozen=True)
-class CycloFraction:
-    """Quotient of two field elements; equality by cross-multiplication."""
-
-    numerator: CycloElement
-    denominator: CycloElement
-
-    def __post_init__(self):
-        self.numerator._check(self.denominator)
-        if self.denominator.is_zero():
-            raise DomainError("zero denominator")
-
-    def __mul__(self, other: CycloFraction) -> CycloFraction:
-        return CycloFraction(
-            self.numerator * other.numerator,
-            self.denominator * other.denominator,
-        )
-
-    def inverse(self) -> CycloFraction:
-        return CycloFraction(self.denominator, self.numerator)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycloFraction):
-            return NotImplemented
-        return self.numerator * other.denominator == other.numerator * self.denominator
-
-    def is_one(self) -> bool:
-        return self.numerator == self.denominator
+def _unit_product(d: int, exponents: Sequence[int]) -> CycloElement:
+    """The product of (1 + w_d^j)^e_j over the positive exponents e_j."""
+    acc = CycloElement.rational(d, 1)
+    for j, e in enumerate(exponents):
+        if e > 0:
+            acc = acc * CycloElement.one_plus_root(d, j) ** e
+    return acc
 
 
-@dataclass(frozen=True)
-class UnitWord:
-    """Formal product of the generators (1 + w^j) with integer exponents,
-    indices mod n."""
-
-    n: int
-    exponents: tuple[int, ...]
-
-    def eval(self) -> CycloFraction:
-        return unit_word_eval(self.n, self.exponents)
-
-
-def unit_word_eval(d: int, exponents: Sequence[int]) -> CycloFraction:
-    """Evaluate the product of (1 + w_d^j)^e_j exactly, negatives in the
-    denominator.  d must be odd so that no factor vanishes."""
+def unit_word_eval(d: int, exponents: Sequence[int]) -> tuple[CycloElement, CycloElement]:
+    """The product of (1 + w_d^j)^e_j as the exact pair (numerator,
+    denominator): the products over the positive e_j and over the negated
+    negative ones.  d must be odd so that no factor vanishes."""
     if d % 2 == 0:
         raise DomainError(f"conductor must be odd (1 + w^(d/2) vanishes), got {d}")
     if len(exponents) != d:
         raise DomainError(f"expected {d} exponents, got {len(exponents)}")
-    num = CycloElement.rational(d, 1)
-    den = CycloElement.rational(d, 1)
-    for j, e in enumerate(exponents):
-        if e:
-            g = CycloElement.one_plus_root(d, j) ** abs(e)
-            if e > 0:
-                num = num * g
-            else:
-                den = den * g
-    return CycloFraction(num, den)
+    return _unit_product(d, exponents), _unit_product(d, [-e for e in exponents])
 
 
 def verify_distribution(n: int, p: int, j: int) -> bool:
@@ -278,6 +223,8 @@ def verify_distribution(n: int, p: int, j: int) -> bool:
     over k < p equals 1 + w^(j p), exactly in the field."""
     if n % 2 == 0 or n < 1:
         raise DomainError(f"n must be odd and positive, got {n}")
+    if n > DISTRIBUTION_CAP:
+        raise ResourceCapError(f"distribution check capped at {DISTRIBUTION_CAP}")
     if n % p != 0:
         raise DomainError(f"{p} does not divide {n}")
     if not 0 <= j < n // p:
@@ -325,10 +272,8 @@ def kernel_test(n: int, x: Sequence[int]) -> bool:
     """
     if n % 2 == 0:
         raise DomainError(f"n must be odd, got {n}")
-    for d in divisors(n):
-        if not unit_word_eval(d, fold_exponents(n, d, x)).is_one():
-            return False
-    return True
+    words = (unit_word_eval(d, fold_exponents(n, d, x)) for d in divisors(n))
+    return all(numerator == denominator for numerator, denominator in words)
 
 
 def unit_signature(ms) -> tuple:
@@ -342,15 +287,9 @@ def unit_signature(ms) -> tuple:
     mu = [0] * n
     for x, m in ms.items():
         mu[x.coords[0]] = m
-    sig = []
-    for d in divisors(n):
-        folded = fold_exponents(n, d, mu)
-        acc = CycloElement.rational(d, 1)
-        for j, e in enumerate(folded):
-            if e:
-                acc = acc * CycloElement.one_plus_root(d, j) ** e
-        sig.append((d, acc.coeffs))
-    return tuple(sig)
+    return tuple(
+        (d, _unit_product(d, fold_exponents(n, d, mu)).coeffs) for d in divisors(n)
+    )
 
 
 # -- the flip lattice and rank certificates ---------------------------------

@@ -28,6 +28,7 @@ from .groups import GroupElement, GroupSpec
 
 __all__ = [
     "DEFAULT_SUBSET_SUMS_CAP",
+    "MAX_DISTINCT_SUMS",
     "Multiset",
     "Sim0Witness",
     "extend_subset_sums",
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 DEFAULT_SUBSET_SUMS_CAP = 24
+# Most distinct sums subset_sums builds: its time and memory grow with that
+# count, which over Z doubles with every new element.
+MAX_DISTINCT_SUMS = 2**20
 
 
 def extend_subset_sums(sums: Mapping[GroupElement, int], a: GroupElement, m: int = 1) -> dict:
@@ -172,17 +176,14 @@ class Multiset:
                 counts[x] = have - m
         return Multiset(self.group, counts)
 
-    def pushforward(
-        self, f: Callable[[GroupElement], GroupElement], target: GroupSpec | None = None
-    ) -> Multiset:
-        """Image multiset; multiplicities of merged fibers add, so the
-        cardinality is preserved."""
+    def pushforward(self, f: Callable[[GroupElement], GroupElement]) -> Multiset:
+        """Image multiset, over the group of f's values; multiplicities of
+        merged fibers add, so the cardinality is preserved."""
         counts: dict[GroupElement, int] = {}
         for x, m in self._mult.items():
             y = f(x)
             counts[y] = counts.get(y, 0) + m
-        if target is None:
-            target = next(iter(counts)).group if counts else self.group
+        target = next(iter(counts)).group if counts else self.group
         return Multiset(target, counts)
 
     def negate(self) -> Multiset:
@@ -219,15 +220,23 @@ class Multiset:
 
         Folds ``extend_subset_sums`` over the distinct elements, starting
         from {0}, which keeps the work proportional to the number of
-        distinct sums rather than 2^|A|.
+        distinct sums rather than 2^|A|.  A step that could take the count
+        of distinct sums past MAX_DISTINCT_SUMS is refused before it runs.
         """
         size = self.cardinality
         if size > cap:
             raise ResourceCapError(
                 f"subset sums of a {size}-element multiset exceeds cap {cap}"
             )
+        room = self.group.size() if self.group.is_finite() else math.inf
         acc = {self.group.zero(): 1}
         for a, m in self.items():
+            reach = min(len(acc) * (m + 1), room)
+            if reach > MAX_DISTINCT_SUMS:
+                raise ResourceCapError(
+                    f"subset sums could reach {reach} distinct values, "
+                    f"over the cap {MAX_DISTINCT_SUMS}"
+                )
             acc = extend_subset_sums(acc, a, m)
         return Multiset(self.group, acc)
 

@@ -31,6 +31,7 @@ __all__ = [
     "ord_mod",
     "is_member",
     "is_member_bruteforce",
+    "odd_up_to",
     "list_up_to",
     "complement_up_to",
 ]
@@ -40,12 +41,21 @@ BRANCH_HALF_OK = "half-order-ok"
 BRANCH_HALF_MINUS_ONE = "half-order-minus-one"
 BRANCH_LOW_ORDER = "low-order"
 
+# Trial division takes up to sqrt(n)/2 steps, so it refuses n from
+# FACTORIZE_CAP on.  The brute-force covering test and the listings run over
+# every number up to their n or limit, and stop at these.
+FACTORIZE_CAP = 2**50
+BRUTEFORCE_CAP = 10**6
+LIST_CAP = 10**6
+
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization by trial division, as ((p, exponent), ...)."""
     if n < 1:
         raise DomainError(f"cannot factor {n}")
+    if n >= FACTORIZE_CAP:
+        raise ResourceCapError(f"trial division capped below 2^50, got {n}")
     out = []
     m = n
     p = 2
@@ -134,11 +144,11 @@ def is_member(n: int) -> OfsVerdict:
     return OfsVerdict(n, False, e, phi, BRANCH_LOW_ORDER)
 
 
-def is_member_bruteforce(n: int, cap: int = 10**6) -> bool:
+def is_member_bruteforce(n: int) -> bool:
     """Literal covering test: every unit mod n equals some +-2^j."""
     _require_odd(n)
-    if n > cap:
-        raise ResourceCapError(f"brute-force membership capped at {cap}")
+    if n > BRUTEFORCE_CAP:
+        raise ResourceCapError(f"brute-force membership capped at {BRUTEFORCE_CAP}")
     if n == 1:
         return True
     covered = set()
@@ -150,11 +160,20 @@ def is_member_bruteforce(n: int, cap: int = 10**6) -> bool:
     return all(x in covered for x in range(1, n) if math.gcd(x, n) == 1)
 
 
+def odd_up_to(limit: int) -> range:
+    """The odd numbers 1, 3, ... up to a limit between 1 and LIST_CAP."""
+    if limit < 1:
+        raise DomainError(f"limit must be a positive integer, got {limit}")
+    if limit > LIST_CAP:
+        raise ResourceCapError(f"listing capped at {LIST_CAP}, got {limit}")
+    return range(1, limit + 1, 2)
+
+
 def list_up_to(limit: int) -> list[int]:
     """All odd members <= limit, ascending."""
-    return [n for n in range(1, limit + 1, 2) if is_member(n).member]
+    return [n for n in odd_up_to(limit) if is_member(n).member]
 
 
 def complement_up_to(limit: int) -> list[int]:
     """All odd non-members <= limit, ascending."""
-    return [n for n in range(1, limit + 1, 2) if not is_member(n).member]
+    return [n for n in odd_up_to(limit) if not is_member(n).member]

@@ -208,20 +208,20 @@ class FunctionTable:
         return cls.from_obj(json.loads(text))
 
 
-def random_table(
-    n: int,
-    d: int,
-    rng,
-    numerator_bound: int = 99,
-    denominators: tuple[int, ...] = (1, 2, 3, 4, 6, 8),
-) -> FunctionTable:
-    """Random rational table over the lcm of `denominators`; the defaults keep
-    the integer kernel inside int64 for every modulus in the supported range."""
+# random_table draws k/q with |k| <= 99 and q one of these denominators, which
+# keeps the integer kernel inside int64 for every modulus in the supported range.
+_RANDOM_NUMERATOR_BOUND = 99
+_RANDOM_DENOMINATORS = (1, 2, 3, 4, 6, 8)
+
+
+def random_table(n: int, d: int, rng) -> FunctionTable:
+    """Random rational table over the lcm of _RANDOM_DENOMINATORS."""
     _check_dims(n, d)
     _check_size(n, d)
-    den = math.lcm(*denominators)
+    den = math.lcm(*_RANDOM_DENOMINATORS)
     nums = [
-        rng.randint(-numerator_bound, numerator_bound) * (den // rng.choice(denominators))
+        rng.randint(-_RANDOM_NUMERATOR_BOUND, _RANDOM_NUMERATOR_BOUND)
+        * (den // rng.choice(_RANDOM_DENOMINATORS))
         for _ in range(n**d)
     ]
     return FunctionTable(n, d, nums, den)

@@ -107,14 +107,19 @@ def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multis
     def fits(sums: dict[GroupElement, int]) -> bool:
         return all(c <= want.get(x, 0) for x, c in sums.items())
 
-    hits = [
+    return _flip_classes([
         Multiset.from_elements(group, seq)
         for seq, sums in _walk(group, candidates, m, fits)
         if len(seq) == m and sums == want
-    ]
+    ])
 
+
+def _flip_classes(members: list[Multiset]) -> list[list[Multiset]]:
+    """Zero-flip classes in order of first member; each member is checked
+    against one representative per class.  The relation is transitive: the
+    forced flips add, and the free elements' GF(2) span is a subgroup."""
     classes: list[list[Multiset]] = []
-    for cand in hits:
+    for cand in members:
         for cls in classes:
             if sim0_check(cls[0], cand)[0]:
                 cls.append(cand)
@@ -180,12 +185,12 @@ def regularity_scan(
     """Scan all multisets up to max_size for pairs with equal subset sums
     that are not zero-flip equivalent.
 
-    Multisets are bucketed by their exact subset-sums multiset; only
-    within-bucket pairs can violate.  Supplied extra pairs (e.g. a
-    constructed candidate) are checked by the same exact criteria.  The scan
-    walks the multisets depth first, each one extending the subset sums of
-    its prefix, so when the budget runs out no size has been fully checked;
-    the report is then flagged non-exhaustive.
+    Multisets are bucketed by their exact subset-sums multiset; only pairs
+    from different zero-flip classes of one bucket violate.  Supplied extra
+    pairs (e.g. a constructed candidate) are checked by the same exact
+    criteria.  The scan walks the multisets depth first, each one extending
+    the subset sums of its prefix, so when the budget runs out no size has
+    been fully checked; the report is then flagged non-exhaustive.
     """
     if max_size < 1:
         raise DomainError(f"the scan needs a maximum size of at least 1, got {max_size}")
@@ -213,9 +218,8 @@ def regularity_scan(
         if len(members) < 2:
             continue
         sets = [Multiset.from_elements(group, seq) for seq in members]
-        for a, b in itertools.combinations(sets, 2):
-            if not sim0_check(a, b)[0]:
-                violations.append((a, b))
+        label = {m: i for i, cls in enumerate(_flip_classes(sets)) for m in cls}
+        violations += [(a, b) for a, b in itertools.combinations(sets, 2) if label[a] != label[b]]
     for a, b in extra_pairs:
         fs_cap = max(a.cardinality, b.cardinality)
         if a.subset_sums(cap=fs_cap) == b.subset_sums(cap=fs_cap) and not sim0_check(a, b)[0]:
@@ -229,33 +233,27 @@ def _random_multiset(group: GroupSpec, elements: Sequence[GroupElement], size: i
     return Multiset.from_elements(group, (rng.choice(elements) for _ in range(size)))
 
 
-def verify_add_subset_sums(
-    group: GroupSpec,
-    trials: int,
-    seed: int = 0,
-    bound: int = 2,
-) -> bool:
+def verify_add_subset_sums(group: GroupSpec, trials: int, seed: int = 0) -> bool:
     """Property check: translating two different multisets by the subset sums
     of a third never produces the same multiset, provided the group has no
     element of order 2.  Runs both an exhaustive tiny sweep and seeded random
-    trials; returns False on any counterexample."""
+    trials over the elements with coordinates in [-2, 2] on Z factors;
+    returns False on any counterexample."""
     if group.has_two_torsion():
         raise DomainError(f"{group} has an element of order 2; hypothesis violated")
-    elements = _bounded_elements(group, bound)
+    elements = _bounded_elements(group, 2)
+
+    def small(k: int) -> list[Multiset]:
+        """The multisets of one or two of the first k elements; all distinct."""
+        return [
+            Multiset.from_elements(group, combo)
+            for size in (1, 2)
+            for combo in itertools.combinations_with_replacement(elements[:k], size)
+        ]
+
     # Exhaustive over the smallest shapes.
-    small_sets = [
-        Multiset.from_elements(group, combo)
-        for size in (1, 2)
-        for combo in itertools.combinations_with_replacement(elements[: min(len(elements), 5)], size)
-    ]
-    small_bs = [Multiset.empty(group)] + [
-        Multiset.from_elements(group, combo)
-        for size in (1, 2)
-        for combo in itertools.combinations_with_replacement(elements[: min(len(elements), 4)], size)
-    ]
-    for a, a2 in itertools.combinations(small_sets, 2):
-        if a == a2:
-            continue
+    small_bs = [Multiset.empty(group), *small(4)]
+    for a, a2 in itertools.combinations(small(5), 2):
         for b in small_bs:
             fs_b = b.subset_sums()
             if a.convolve(fs_b) == a2.convolve(fs_b):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fsrecon.cli import main
-from fsrecon.groups import cyclic
+from fsrecon.groups import GroupSpec, cyclic
 from fsrecon.multisets import Multiset
 from fsrecon.radon import FunctionTable, RadonImage, forward, random_table
 from fsrecon.search import ScanReport
@@ -64,6 +64,24 @@ def test_resource_error_exit(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(big.to_json())
     assert main(["fs", "--in", str(path)]) == 3
+
+
+@pytest.mark.parametrize("count, code", [(11, 3), (9, 0)])
+def test_fs_stops_at_the_distinct_sums_cap(tmp_path, capsys, monkeypatch, count, code):
+    # 2^11 distinct sums pass a cap of 2^10 at the last step; 2^9 stay below it.
+    monkeypatch.setattr("fsrecon.multisets.MAX_DISTINCT_SUMS", 2**10)
+    powers = Multiset.from_elements(GroupSpec((0,)), [2**j for j in range(count)])
+    path, out_path = tmp_path / "powers.json", tmp_path / "sums.json"
+    path.write_text(powers.to_json())
+    assert main(["fs", "--in", str(path), "--out", str(out_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if code:
+        assert captured.err.count("\n") == 1 and not out_path.exists()
+    else:
+        assert Multiset.from_json(out_path.read_text()).support() == [
+            GroupSpec((0,)).element((s,)) for s in range(2**count)
+        ]
 
 
 # -- data-bearing commands ------------------------------------------------------------
@@ -314,6 +332,23 @@ def test_cyclo_commands(capsys):
 
 def test_cyclo_ranks_cap(capsys):
     code = main(["cyclo", "ranks", "47"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "16777215"],
+        ["ofs", "test", "1000000000000000003"],
+        ["counterexample", "1000000000000000003"],
+        ["ofs", "list", "1000000000"],
+        ["cyclo", "dist", "1009"],
+    ],
+)
+def test_arguments_past_a_work_cap_exit_3(capsys, argv):
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("resource error: ") and captured.err.count("\n") == 1

@@ -7,8 +7,6 @@ import pytest
 
 from fsrecon.cyclo import (
     CycloElement,
-    CycloFraction,
-    UnitWord,
     cyclotomic_poly,
     distribution_relation_vector,
     fold_exponents,
@@ -22,7 +20,7 @@ from fsrecon.cyclo import (
     unit_word_eval,
     verify_distribution,
 )
-from fsrecon.errors import DomainError
+from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.groups import cyclic
 from fsrecon.multisets import Multiset
 from fsrecon.ofs import divisors, prime_factors, totient
@@ -85,19 +83,6 @@ def test_rational_detection():
     assert not CycloElement.root_power(9, 2).is_rational()
 
 
-def test_fraction_times_inverse_is_one():
-    rng = random.Random(11)
-    for _ in range(25):
-        n = rng.choice([3, 5, 9, 15])
-        coeffs = [rng.randint(-4, 4) for _ in range(totient(n))]
-        elem = CycloElement.from_poly(n, coeffs)
-        if elem.is_zero():
-            continue
-        other = CycloElement.one_plus_root(n, rng.randrange(n))
-        frac = CycloFraction(elem, other)
-        assert (frac * frac.inverse()).is_one()
-
-
 # -- distribution relations -------------------------------------------------------
 
 
@@ -128,6 +113,12 @@ def test_distribution_rejects_even():
         verify_distribution(6, 3, 0)
 
 
+def test_distribution_cap():
+    assert verify_distribution(255, 17, 3)
+    with pytest.raises(ResourceCapError):
+        verify_distribution(1009, 1009, 0)
+
+
 # -- exponent folding and unit words ----------------------------------------------
 
 
@@ -143,22 +134,31 @@ def test_fold_examples():
 
 
 def test_unit_word_empty_and_constants():
-    assert unit_word_eval(3, (0, 0, 0)).is_one()
+    num, den = unit_word_eval(3, (0, 0, 0))
+    assert num.is_one() and den.is_one()
     # Over the trivial conductor the only generator is 1 + 1 = 2.
-    val = unit_word_eval(1, (3,))
-    assert val.numerator == CycloElement.rational(1, 8)
-    assert val.denominator.is_one()
+    num, den = unit_word_eval(1, (3,))
+    assert num == CycloElement.rational(1, 8)
+    assert den.is_one()
+    # Negative exponents land in the denominator.
+    num, den = unit_word_eval(1, (-2,))
+    assert num.is_one() and den == CycloElement.rational(1, 4)
 
 
 def test_unit_word_conjugate_generators_cancel():
     # (1 + w)(1 + w^2) = 1 for a primitive cube root.
-    assert unit_word_eval(3, (0, 1, 1)).numerator.is_one()
+    num, den = unit_word_eval(3, (0, 1, 1))
+    assert num.is_one() and den.is_one()
+    # So the word with one of them inverted is (1 + w)^2, not 1.
+    num, den = unit_word_eval(3, (0, 1, -1))
+    assert num == CycloElement.one_plus_root(3, 1) ** 2 * den and num != den
 
 
 def test_unit_word_rejects_even_conductor():
     with pytest.raises(DomainError):
         unit_word_eval(4, (0, 0, 0, 0))
-    assert UnitWord(5, (0, 1, 0, 0, -1)).eval() is not None
+    with pytest.raises(DomainError):
+        unit_word_eval(5, (0, 1, 0, 0))
 
 
 def test_relation_vectors_in_kernel():
@@ -167,7 +167,8 @@ def test_relation_vectors_in_kernel():
             for j in range(d // p):
                 v = distribution_relation_vector(d, p, j)
                 assert sum(v) == 1 - p
-                assert unit_word_eval(d, v).is_one()
+                num, den = unit_word_eval(d, v)
+                assert num == den
 
 
 # -- the kernel test ---------------------------------------------------------------

@@ -114,11 +114,24 @@ def test_subset_sums_recursion():
         assert bigger.subset_sums() == fs.union(fs.shift(x))
 
 
-def test_subset_sums_cap():
+def test_subset_sums_cap(monkeypatch):
     a = Multiset(Z, {Z.element((1,)): 30})
     with pytest.raises(ResourceCapError):
         a.subset_sums()
     a.subset_sums(cap=30)
+    # The distinct-sums cap, checked before each step.
+    monkeypatch.setattr("fsrecon.multisets.MAX_DISTINCT_SUMS", 16)
+    powers = [1, 2, 4, 8, 16]
+    assert len(ms(Z, *powers[:4]).subset_sums().support()) == 16
+    with pytest.raises(ResourceCapError):
+        ms(Z, *powers).subset_sums()
+    # A step of multiplicity m can multiply the count by m + 1 ...
+    assert len(Multiset(Z, {Z.element((1,)): 15}).subset_sums().support()) == 16
+    with pytest.raises(ResourceCapError):
+        Multiset(Z, {Z.element((1,)): 16}).subset_sums()
+    # ... but never past the size of a finite group.
+    z16 = GroupSpec((16,))
+    assert len(ms(z16, *powers).subset_sums().support()) == 16
 
 
 # -- flip equivalences ---------------------------------------------------------

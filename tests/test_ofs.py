@@ -25,6 +25,12 @@ MISSING_START = [17, 31, 33, 41, 43, 51]
 
 def test_factorize_and_totient():
     assert factorize(360) == ((2, 3), (3, 2), (5, 1))
+    assert factorize(2**50 - 1) == (
+        (3, 1), (11, 1), (31, 1), (251, 1), (601, 1), (1801, 1), (4051, 1)
+    )
+    # 2^50 has only small factors, but trial division refuses it unseen.
+    with pytest.raises(ResourceCapError):
+        factorize(2**50)
     assert totient(1) == 1
     assert totient(9) == 6
     assert totient(3 * WIEFERICH) == 2 * (WIEFERICH - 1)
@@ -98,6 +104,12 @@ def test_list_examples():
     assert list_up_to(29) == MEMBERS_THROUGH_29
     assert complement_up_to(55)[:6] == MISSING_START
     assert list_up_to(1) == [1]
+    with pytest.raises(ResourceCapError):
+        list_up_to(10**6 + 1)
+    with pytest.raises(ResourceCapError):
+        complement_up_to(10**9)
+    with pytest.raises(DomainError):
+        list_up_to(0)
 
 
 def test_divisor_stability():

@@ -231,7 +231,7 @@ def test_add_subset_sums_rejects_two_torsion():
 
 
 def test_add_subset_sums_over_z():
-    assert verify_add_subset_sums(Z, trials=100, seed=1, bound=2)
+    assert verify_add_subset_sums(Z, trials=100, seed=1)
 
 
 def test_empty_b_reduces_to_equality():
