@@ -394,7 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+    # RecursionError: JSON nested too deeply for the decoder.
+    except (DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError,
+            RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -136,12 +136,6 @@ class CycloElement:
         return cls.from_poly(n, [value])
 
     @classmethod
-    def root_power(cls, n: int, j: int) -> CycloElement:
-        """The power w^j of the primitive n-th root w."""
-        j %= n
-        return cls.from_poly(n, [0] * j + [1])
-
-    @classmethod
     def one_plus_root(cls, n: int, j: int) -> CycloElement:
         j %= n
         coeffs = [0] * (j + 1)
@@ -185,9 +179,6 @@ class CycloElement:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])

@@ -119,9 +119,6 @@ class Multiset:
     def __contains__(self, x) -> bool:
         return self.multiplicity(x) >= 1
 
-    def is_empty(self) -> bool:
-        return not self._mult
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multiset):
             return NotImplemented
@@ -145,10 +142,6 @@ class Multiset:
             raise GroupMismatchError(
                 f"multisets over {self.group} and {other.group} cannot be combined"
             )
-
-    def is_subset_of(self, other: Multiset) -> bool:
-        self._require_same_group(other)
-        return all(m <= other._mult.get(x, 0) for x, m in self._mult.items())
 
     # -- multiset calculus ----------------------------------------------
 

@@ -13,8 +13,9 @@ Whether every member has a member multiple is open; the 3 * 3511 example
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .errors import DomainError, ResourceCapError, VerificationError
@@ -41,35 +42,69 @@ BRANCH_HALF_OK = "half-order-ok"
 BRANCH_HALF_MINUS_ONE = "half-order-minus-one"
 BRANCH_LOW_ORDER = "low-order"
 
-# Trial division takes up to sqrt(n)/2 steps, so it refuses n from
-# FACTORIZE_CAP on.  The brute-force covering test and the listings run over
-# every number up to their n or limit, and stop at these.
+# factorize refuses n from FACTORIZE_CAP on.  The brute-force covering test
+# and the listings run over every number up to their n or limit, and stop at
+# these.
 FACTORIZE_CAP = 2**50
 BRUTEFORCE_CAP = 10**6
 LIST_CAP = 10**6
 
 
+# The first 12 primes.  As Miller-Rabin bases they decide primality for every
+# n below 3.1 * 10^23, far past FACTORIZE_CAP.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the bases _SMALL_PRIMES."""
+    if n < 2 or any(n % p == 0 for p in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _prime_parts(n: int) -> list[int]:
+    """The prime factors, with multiplicity, of n > 1 that no small prime
+    divides.  Miller-Rabin proves a part prime; Pollard's rho splits the
+    others, on x -> x^2 + c with Floyd's cycle test, c = 1, 2, ... until a
+    run splits n."""
+    if _is_prime(n):
+        return [n]
+    for c in itertools.count(1):
+        x, y, g = 2, 2, 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (pow(y * y + c, 2, n) + c) % n
+            g = math.gcd(x - y, n)
+        if g != n:
+            return _prime_parts(g) + _prime_parts(n // g)
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization by trial division, as ((p, exponent), ...)."""
+    """Prime factorization as ((p, exponent), ...), p ascending: the small
+    primes by trial division, the rest by `_prime_parts`."""
     if n < 1:
         raise DomainError(f"cannot factor {n}")
     if n >= FACTORIZE_CAP:
         raise ResourceCapError(f"trial division capped below 2^50, got {n}")
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return tuple(out)
+    primes = []
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            primes.append(p)
+            n //= p
+    primes += _prime_parts(n) if n > 1 else []
+    return tuple((p, primes.count(p)) for p in sorted(set(primes)))
 
 
 def totient(n: int) -> int:
@@ -114,13 +149,7 @@ class OfsVerdict:
     branch: str
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "member": self.member,
-            "ord2": self.ord2,
-            "phi": self.phi,
-            "branch": self.branch,
-        }
+        return asdict(self)
 
 
 def _require_odd(n: int) -> None:

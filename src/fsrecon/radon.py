@@ -10,17 +10,18 @@ only on which primes divide all of its values.
 
 No floating point is used anywhere.  A function table and its image are
 stored alike, as integer numerators in point order over one common positive
-denominator.  Forward, invert and verify share one separable integer kernel:
-a sweep that turns one coordinate axis at a time into a coefficient axis by
-a shift-and-add along the residue axis, in d n^(d+2) operations and n^(d+1)
-memory.  It runs on numpy int64 only, on one or more residue channels: a
-bound proved up front caps every partial sum, and when it passes int64 the
-kernel runs once per modulus of a set whose product exceeds twice the bound,
-and an exact CRT rebuild recovers each integer.  Grids built from arguments
-stop at MAX_IMAGE_ENTRIES image entries.  The transform is not surjective,
-so ``invert`` does not validate its input; ``mass_consistent`` is the
-explicit sanity check, and the character-sum route
-``fourier_invert_at_zero`` provides an independent second inverse.
+denominator, and filed as JSON rows in that order.  Forward, invert and
+verify share one separable integer kernel: a sweep that turns one coordinate
+axis at a time into a coefficient axis by a shift-and-add along the residue
+axis, in d n^(d+2) operations and n^(d+1) memory.  It runs on numpy int64
+only, on one or more residue channels: a bound proved up front caps every
+partial sum, and when it passes int64 the kernel runs once per modulus of a
+set whose product exceeds twice the bound, and an exact CRT rebuild
+recovers each integer.  Grids built from arguments stop at MAX_IMAGE_ENTRIES
+image entries.  The transform is not surjective, so ``invert`` does not
+validate its input; ``mass_consistent`` is the explicit sanity check, and
+the character-sum route ``fourier_invert_at_zero`` provides an independent
+second inverse.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from itertools import chain, cycle, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -57,8 +59,9 @@ __all__ = [
 # has 4.1M entries.
 MAX_IMAGE_ENTRIES = 2**23
 _INT64_SAFE = 2**62
-# "p/q" with q > 0: a subset of what Fraction parses, and what `_ratio_strs` writes.
-_RATIO = re.compile(r"(-?[0-9]+)/(0*[1-9][0-9]*)")
+# Values "p/q" with q > 0, one a line: a subset of what Fraction parses.
+_RATIOS = re.compile(r"(?:-?[0-9]+/0*[1-9][0-9]*\n)*+-?[0-9]+/0*[1-9][0-9]*")
+_BLOCK = 512  # rows per pass of `_columns`: its temporaries stay small and in cache
 
 
 def _check_dims(n: int, d: int) -> None:
@@ -98,15 +101,10 @@ def iter_point_tuples(n: int, d: int) -> Iterator[tuple[int, ...]]:
 # -- tables ------------------------------------------------------------------
 
 
-def _check_layout(n: int, d: int, nums: list[int], den: int, dims: int) -> None:
-    _check_dims(n, d)
-    if den <= 0 or len(nums) != n**dims:
-        raise DomainError(f"need {n}^{dims} numerators and a positive denominator")
-
-
-def _rows(obj, key: str, extra: int) -> tuple[int, int, list]:
-    """n, d and the rows of a table (extra = 0) or image (extra = 1)
-    document, which must hold one row per point of (Z/nZ)^(d + extra)."""
+def _parse(obj, key: str, extra: int) -> tuple[int, int, list[int], int]:
+    """n, d, numerators and denominator of a document with one row per point
+    of (Z/nZ)^(d + extra) under `key`.  `_fill` is the validator; rows in
+    the canonical form that `_write` writes take `_columns` instead."""
     if not isinstance(obj, dict):
         raise DomainError(f"expected a JSON object with keys n, d and {key}")
     n, d, rows = obj.get("n"), obj.get("d"), obj.get(key)
@@ -115,60 +113,128 @@ def _rows(obj, key: str, extra: int) -> tuple[int, int, list]:
     # With n >= 2, n^(d + extra) > size once d + extra passes size's bit length.
     if size < 0 or (n > 1 and d + extra > size.bit_length()) or size != n ** (d + extra):
         raise DomainError(f"{key} must be a list of {n}^{d + extra} rows")
-    return n, d, rows
+    return n, d, *(_columns(n, d, rows, extra) or _fill(n, d + extra, rows, extra, key))
 
 
-def _fill(n: int, dims: int, pairs: Iterable) -> tuple[list[int], int]:
-    """Numerators over one common denominator, in point order, from
-    (coordinates, value) pairs that name every point of (Z/nZ)^dims exactly
-    once.  A value is an int, a Fraction or a string that Fraction parses."""
+def _fill(n: int, dims: int, rows: Iterable, extra: int, where: str) -> tuple[list[int], int]:
+    """Numerators over one common denominator, in point order, from rows
+    [coords, value] (extra = 0) or [coeffs, c, value] (extra = 1) that name
+    each point of (Z/nZ)^dims once.  A value is an int, a Fraction or a
+    string that Fraction parses.  An error names its row as where[k]."""
     _check_dims(n, dims)
     nums: list = [None] * n**dims
     dens = [1] * len(nums)
-    try:
-        for coords, v in pairs:
-            i = _index(n, dims, coords)
+    for k, row in enumerate(rows):
+        try:
+            coeffs, *c, v = row
+            if len(c) != extra:
+                raise DomainError(f"expected a row of {2 + extra} items")
+            i = _index(n, dims, [*coeffs, *c])
             if type(v) not in (int, str, Fraction):
                 raise DomainError(f"value {v!r} is neither an integer nor a string")
-            ratio = type(v) is str and _RATIO.fullmatch(v)  # skips building a Fraction
-            nums[i], dens[i] = map(int, ratio.groups()) if ratio else Fraction(v).as_integer_ratio()
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"malformed entry: {exc}") from None
+            nums[i], dens[i] = Fraction(v).as_integer_ratio()
+        except DomainError as exc:
+            raise DomainError(f"{where}[{k}]: {exc}") from None
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"{where}[{k}]: malformed entry: {exc}") from None
     if None in nums:
         raise DomainError(f"need exactly one entry for each of the {n}^{dims} points")
     den = math.lcm(*dens)
     return [num * (den // q) for num, q in zip(nums, dens)], den
 
 
-def _ratios_eq(self, other) -> bool:
-    """`==` for both tables: same shape and equal ratios, cross-multiplied."""
-    if type(other) is not type(self):
-        return NotImplemented
-    a, b = self._den, other._den
-    pairs = zip(self._nums, other._nums)
-    return (self.n, self.d) == (other.n, other.d) and all(x * b == y * a for x, y in pairs)
+def _columns(n: int, d: int, rows: list, extra: int) -> tuple[list[int], int] | None:
+    """The ratios `_fill` reads, for rows in canonical form (int coordinates
+    in point order, "p/q" values), or None.  Each block of rows is checked
+    by C-level passes over its columns: shapes, types, key digits, and one
+    regex match."""
+    powers = np.array([n**k for k in range(d + extra - 1, -1, -1)], dtype=np.int64)
+    nums, dens, qs = [], [], {}
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start : start + _BLOCK]
+        if set(map(type, block)) != {list} or set(map(len, block)) != {2 + extra}:
+            return None
+        heads, *cs, values = zip(*block)
+        if set(map(type, heads)) != {list} or set(map(len, heads)) != {d}:
+            return None
+        keys = list(chain(*heads, *cs))
+        want = np.arange(start, start + len(block))[:, None] // powers % n
+        text = "\n".join(values) if set(map(type, values)) == {str} else ""
+        if (
+            set(map(type, keys)) != {int}
+            or not np.array_equal(keys, np.concatenate((want[:, :d].ravel(), want[:, d:].ravel())))
+            or text.count("\n") != len(block) - 1
+            or not _RATIOS.fullmatch(text)
+        ):
+            return None
+        parts = text.replace("\n", "/").split("/")
+        try:
+            nums += map(int, parts[::2])
+            qs.update((q, int(q)) for q in set(parts[1::2]).difference(qs))
+        except ValueError:  # past int()'s digit limit
+            return None
+        dens += map(qs.__getitem__, parts[1::2])
+    den = math.lcm(*qs.values())
+    scale = {q: den // q for q in qs.values()}
+    return list(map(operator.mul, nums, map(scale.__getitem__, dens))), den
 
 
-def _ratio_strs(nums: list[int], den: int) -> Iterator[str]:
-    """Each num/den as "p/q" in lowest terms, the way Fraction reduces it."""
-    for num in nums:
-        g = math.gcd(num, den)
-        yield f"{num // g}/{den // g}"
+def _write(table: _Rows) -> str:
+    """The bytes json.dumps writes for the table's document, each value "p/q"
+    in lowest terms.  A row joins shared pieces, its head to the last digit
+    (opened by the previous row's close) and the tail on, with "p" and "/q"."""
+    n, d, nums, den = table.n, table.d, table._nums, table._den
+    seps = [","] * (d - 1) + ["],"] + [","] * table._extra
+    heads = ['"],[[']
+    for sep in seps[:-1]:
+        heads = [f"{h}{a}{sep}" for h in heads for a in range(n)]
+    tails = cycle([f'{a}{seps[-1]}"' for a in range(n)])
+    gs = list(map(math.gcd, nums, repeat(den)))
+    over = {g: f"/{den // g}" for g in set(gs)}
+    first = f'{{"n":{n},"d":{d},"{table._key}":[{heads[0][3:]}'
+    rows = zip(chain.from_iterable(map(repeat, heads, repeat(n))), tails,
+               map(str, map(operator.floordiv, nums, gs)), map(over.__getitem__, gs))
+    return "".join(chain([first], islice(chain.from_iterable(rows), 1, None), ['"]]}']))
 
 
-class FunctionTable:
-    """A complete exact-rational table on the points of (Z/nZ)^d."""
+class _Rows:
+    """Exact rationals on the points of (Z/nZ)^(d + _extra): integer
+    numerators in point order over one positive denominator, filed as rows."""
 
     __slots__ = ("n", "d", "_nums", "_den")
 
     def __init__(self, n: int, d: int, nums: list[int], den: int):
-        _check_layout(n, d, nums, den, d)
+        _check_dims(n, d)
+        if den <= 0 or len(nums) != n ** (d + self._extra):
+            raise DomainError(f"need {n}^{d + self._extra} numerators and a positive denominator")
         self.n, self.d, self._nums, self._den = n, d, nums, den
+
+    def __eq__(self, other) -> bool:
+        """Same kind and shape, and equal ratios, cross-multiplied."""
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self._den, other._den
+        pairs = zip(self._nums, other._nums)
+        return (self.n, self.d) == (other.n, other.d) and all(x * b == y * a for x, y in pairs)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, d={self.d})"
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_obj(json.loads(text))
+
+
+class FunctionTable(_Rows):
+    """A complete exact-rational table on the points of (Z/nZ)^d."""
+
+    __slots__ = ()
+    _key, _extra = "values", 0
 
     @classmethod
     def from_values(cls, n: int, d: int, values: Mapping) -> FunctionTable:
         """Build from a {point: value} mapping with one entry per point."""
-        return cls(n, d, *_fill(n, d, values.items()))
+        return cls(n, d, *_fill(n, d, values.items(), 0, "values"))
 
     def value(self, point) -> Fraction:
         return Fraction(self._nums[_index(self.n, self.d, point)], self._den)
@@ -176,36 +242,13 @@ class FunctionTable:
     def total(self) -> Fraction:
         return Fraction(sum(self._nums), self._den)
 
-    __eq__ = _ratios_eq
-
-    def __repr__(self) -> str:
-        return f"FunctionTable(n={self.n}, d={self.d}, {len(self._nums)} points)"
-
-    @classmethod
-    def delta(cls, n: int, d: int, at: tuple | None = None) -> FunctionTable:
-        at = tuple(at) if at is not None else (0,) * d
-        return cls.from_values(n, d, {x: int(x == at) for x in iter_point_tuples(n, d)})
-
-    @classmethod
-    def constant(cls, n: int, d: int, value) -> FunctionTable:
-        return cls.from_values(n, d, dict.fromkeys(iter_point_tuples(n, d), value))
-
-    def to_obj(self) -> dict:
-        rows = zip(iter_point_tuples(self.n, self.d), _ratio_strs(self._nums, self._den))
-        return {"n": self.n, "d": self.d, "values": [[list(x), s] for x, s in rows]}
-
     @classmethod
     def from_obj(cls, obj: dict) -> FunctionTable:
         """Parse a complete table: one [point, value] row per point."""
-        n, d, rows = _rows(obj, "values", 0)
-        return cls(n, d, *_fill(n, d, rows))
+        return cls(*_parse(obj, cls._key, cls._extra))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> FunctionTable:
-        return cls.from_obj(json.loads(text))
+        return _write(self)
 
 
 # random_table draws k/q with |k| <= 99 and q one of these denominators, which
@@ -227,15 +270,12 @@ def random_table(n: int, d: int, rng) -> FunctionTable:
     return FunctionTable(n, d, nums, den)
 
 
-class RadonImage:
+class RadonImage(_Rows):
     """Exact table of fiber sums, indexed by (homomorphism, residue): the
     layout of `FunctionTable` on the points (coeffs, c) of (Z/nZ)^(d+1)."""
 
-    __slots__ = ("n", "d", "_nums", "_den")
-
-    def __init__(self, n: int, d: int, nums: list[int], den: int):
-        _check_layout(n, d, nums, den, d + 1)
-        self.n, self.d, self._nums, self._den = n, d, nums, den
+    __slots__ = ()
+    _key, _extra = "entries", 1
 
     def value(self, coeffs, c: int) -> Fraction:
         return Fraction(self._nums[_index(self.n, self.d + 1, [*coeffs, c % self.n])], self._den)
@@ -249,35 +289,19 @@ class RadonImage:
         masses = self.mass_by_hom()
         return all(m == masses[0] for m in masses)
 
-    __eq__ = _ratios_eq
-
-    def __repr__(self) -> str:
-        return f"RadonImage(n={self.n}, d={self.d})"
-
     def perturbed(self, coeffs, c: int, delta) -> RadonImage:
         p, q = Fraction(delta).as_integer_ratio()
         nums = [num * q for num in self._nums]
         nums[_index(self.n, self.d, coeffs) * self.n + c % self.n] += p * self._den
         return RadonImage(self.n, self.d, nums, self._den * q)
 
-    def to_obj(self) -> dict:
-        keys = itertools.product(iter_point_tuples(self.n, self.d), range(self.n))
-        rows = zip(keys, _ratio_strs(self._nums, self._den))
-        return {"n": self.n, "d": self.d, "entries": [[list(h), c, s] for (h, c), s in rows]}
-
     @classmethod
     def from_obj(cls, obj: dict) -> RadonImage:
         """Parse a complete image: one [coeffs, c, value] row per (coeffs, c)."""
-        n, d, rows = _rows(obj, "entries", 1)
-        pairs = (([*coeffs, c], v) for coeffs, c, v in rows)
-        return cls(n, d, *_fill(n, d + 1, pairs))
+        return cls(*_parse(obj, cls._key, cls._extra))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> RadonImage:
-        return cls.from_obj(json.loads(text))
+        return _write(self)
 
 
 # -- weights ------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .multisets import DEFAULT_SUBSET_SUMS_CAP, Multiset, extend_subset_sums, si
 
 __all__ = [
     "ScanReport",
-    "enumerate_multisets",
     "fs_preimages",
     "regularity_scan",
     "verify_add_subset_sums",
@@ -37,16 +36,6 @@ def _bounded_elements(
         raise DomainError("an infinite factor needs a coordinate bound to enumerate")
     ranges = [range(m) if m else range(-bound, bound + 1) for m in group.moduli]
     return [group.element(c) for c in itertools.islice(itertools.product(*ranges), limit)]
-
-
-def enumerate_multisets(
-    group: GroupSpec, size: int, bound: int | None = None
-) -> Iterator[Multiset]:
-    """All multisets of the given cardinality, each exactly once, elements in
-    nondecreasing order."""
-    elements = _bounded_elements(group, bound)
-    for combo in itertools.combinations_with_replacement(elements, size):
-        yield Multiset.from_elements(group, combo)
 
 
 def _walk(group: GroupSpec, candidates: Sequence[GroupElement], length: int,

@@ -6,9 +6,12 @@ so the production paths can be checked against first principles.
 from __future__ import annotations
 
 import itertools
+import json
 
+from fsrecon.cyclo import CycloElement
 from fsrecon.groups import GroupElement, GroupSpec
 from fsrecon.multisets import Multiset
+from fsrecon.radon import RadonImage
 
 
 def expand(ms: Multiset) -> list[GroupElement]:
@@ -145,3 +148,43 @@ def _factorizations(n: int, smallest: int = 2) -> list[tuple[int, ...]]:
         if n % f == 0:
             out.extend([(f,) + rest for rest in _factorizations(n // f, f)])
     return out
+
+
+def rows_json_oracle(table) -> str:
+    """The file text of a FunctionTable or RadonImage, built the plain way:
+    json.dumps of {"n", "d", rows}, one row [point, value] or [coeffs, c,
+    value] per point in lexicographic order, each value a Fraction's "p/q"."""
+    n, d = table.n, table.d
+    points = [list(x) for x in itertools.product(range(n), repeat=d)]
+    if isinstance(table, RadonImage):
+        key = "entries"
+        rows = [[h, c, table.value(h, c)] for h in points for c in range(n)]
+    else:
+        key = "values"
+        rows = [[x, table.value(x)] for x in points]
+    for row in rows:
+        row[-1] = f"{row[-1].numerator}/{row[-1].denominator}"
+    return json.dumps({"n": n, "d": d, key: rows}, separators=(",", ":"))
+
+
+def factorize_oracle(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization by trial division over every d from 2 up."""
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def root_power(n: int, j: int) -> CycloElement:
+    """w^j for the primitive n-th root of unity w, from the polynomial x^j
+    with j reduced mod n, since w^n = 1."""
+    return CycloElement.from_poly(n, [0] * (j % n) + [1])

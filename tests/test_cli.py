@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -246,6 +247,7 @@ def _table(values, n=2, d=1):
         {"n": 2, "d": 1, "values": [[[1]], [[0], "1/1"]]},
         {"n": 2, "d": 1, "values": [[[0], "1/1"], [[0], "1/1"]]},
         {"n": 2, "d": 1, "values": [[[False], "1/2"], [[True], "3/1"]]},
+        {"n": 2, "d": 1, "values": [[[2**64], "1/2"], [[1], "3/1"]]},
         [1, 2],
     ],
     ids=[
@@ -260,6 +262,7 @@ def _table(values, n=2, d=1):
         "short-row",
         "repeated-point",
         "coordinate-bool",
+        "coordinate-past-int64",
         "top-level-array",
     ],
 )
@@ -303,6 +306,44 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, argv, document):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "argv", [["radon", "invert", "--in"], ["fs", "--in"]], ids=["image", "multiset"]
+)
+def test_deeply_nested_file_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_deeply_nested_group_exits_2(capsys):
+    code = main(["search", "scan", "--group", DEEP, "--max-size", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_malformed_rows_are_named_by_their_json_path(tmp_path, capsys):
+    table = json.loads(random_table(48, 1, random.Random(3)).to_json())
+    table["values"][17][0] = [1.5]
+    image = json.loads(forward(random_table(2, 2, random.Random(4))).to_json())
+    image["entries"][5][2] = "1/0"
+    for command, doc, prefix in (
+        ("forward", table, "error: values[17]: coordinate 1.5 is not an integer in [0, 48)"),
+        ("invert", image, "error: entries[5]: malformed entry: "),
+    ):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        code = main(["radon", command, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err.startswith(prefix) and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("case", ["in-directory", "out-directory", "not-utf8"])

@@ -14,9 +14,14 @@ from hypothesis import strategies as st
 from fsrecon.cli import main
 from fsrecon.radon import forward, random_table
 
+
+def _doc(table):
+    return json.loads(table.to_json())
+
+
 DOCUMENTS = {
-    "table": (["radon", "forward"], random_table(3, 2, random.Random(0)).to_obj()),
-    "image": (["radon", "invert"], forward(random_table(2, 2, random.Random(1))).to_obj()),
+    "table": (["radon", "forward"], _doc(random_table(3, 2, random.Random(0)))),
+    "image": (["radon", "invert"], _doc(forward(random_table(2, 2, random.Random(1))))),
     "multiset": (["fs"], {"group": {"moduli": [4, 0]}, "elements": [[[1, -2], 1], [[2, 5], 3]]}),
 }
 
@@ -45,13 +50,13 @@ def _slots(node, out):
 
 def mutate(doc, data):
     """Apply one to three mutations: drop a key or list item, swap a value
-    for junk, or insert junk into a list.  Swapping the root replaces the
-    whole document."""
+    for junk, insert junk into a list, or shuffle a list (the rows of a
+    document among them).  Swapping the root replaces the whole document."""
     doc = json.loads(json.dumps(doc))
     for _ in range(data.draw(st.integers(1, 3))):
         slots = _slots(doc, [(None, None)])
         node, key = data.draw(st.sampled_from(slots))
-        action = data.draw(st.sampled_from(["drop", "swap", "insert"]))
+        action = data.draw(st.sampled_from(["drop", "swap", "insert", "shuffle"]))
         if node is None:
             doc = data.draw(JUNK)
             if not isinstance(doc, (dict, list)):
@@ -60,6 +65,8 @@ def mutate(doc, data):
             del node[key]
         elif action == "insert" and isinstance(node, list):
             node.insert(key, data.draw(JUNK))
+        elif action == "shuffle" and isinstance(node[key], list):
+            node[key] = data.draw(st.permutations(node[key]))
         else:
             node[key] = data.draw(JUNK)
     return doc

@@ -1,4 +1,8 @@
+import math
+import random
+
 import pytest
+from oracles import factorize_oracle
 
 from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.ofs import (
@@ -35,6 +39,49 @@ def test_factorize_and_totient():
     assert totient(9) == 6
     assert totient(3 * WIEFERICH) == 2 * (WIEFERICH - 1)
     assert divisors(45) == [1, 3, 5, 9, 15, 45]
+
+
+def test_factorize_matches_trial_division_below_5000():
+    for n in range(1, 5000):
+        assert factorize(n) == factorize_oracle(n), n
+
+
+def _prime_near(rng, bits):
+    """A random prime of about `bits` bits, certified by trial division."""
+    while True:
+        p = rng.randrange(2 ** (bits - 1), 2**bits) | 1
+        if factorize_oracle(p) == ((p, 1),):
+            return p
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factorize_semiprimes_and_prime_powers_near_2_50(seed):
+    rng = random.Random(seed)
+    p, q = sorted({_prime_near(rng, 25), _prime_near(rng, 25)})
+    if p != q:
+        assert factorize(p * q) == ((p, 1), (q, 1))
+    assert factorize(p * p) == ((p, 2),)
+    r, t = _prime_near(rng, 16), _prime_near(rng, 12)
+    assert factorize(r**3) == ((r, 3),)
+    assert factorize(t**4) == ((t, 4),)
+    assert factorize(t**2 * p) == tuple(sorted([(t, 2), (p, 1)]))
+
+
+@pytest.mark.parametrize("n", [561, 25326001, 3215031751, 2152302898747, 3474749660383,
+                               341550071728321])
+def test_factorize_splits_strong_pseudoprimes(n):
+    """Carmichael numbers and strong pseudoprimes to the bases 2 up to 17."""
+    parts = factorize(n)
+    assert len(parts) > 1 and math.prod(p**e for p, e in parts) == n
+    assert all(factorize_oracle(p) == ((p, 1),) for p, _ in parts)
+
+
+def test_factorize_primes_just_below_the_cap():
+    # 2^50 - 27 and 2^50 - 35 are the two largest primes below 2^50; trial
+    # division up to 2^25 certified them once, too slowly to repeat here.
+    for k in (27, 35):
+        assert factorize(2**50 - k) == ((2**50 - k, 1),)
+    assert factorize(2**50 - 29) == factorize_oracle(2**50 - 29)
 
 
 def test_ord_mod_direct_iteration():

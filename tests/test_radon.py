@@ -1,8 +1,10 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import rows_json_oracle
 
 from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.radon import (
@@ -18,6 +20,16 @@ from fsrecon.radon import (
     random_table,
     verify_inverting,
 )
+
+
+def constant(n, d, value):
+    return FunctionTable.from_values(n, d, dict.fromkeys(iter_point_tuples(n, d), value))
+
+
+def delta(n, d, at=None):
+    """The indicator table of the point `at`, the origin by default."""
+    at = at or (0,) * d
+    return FunctionTable.from_values(n, d, {x: int(x == at) for x in iter_point_tuples(n, d)})
 
 
 def apply(h, x, n):
@@ -78,8 +90,8 @@ def big_tables(n, d, seed):
     -big, whose zero-hom fiber sum at c = 0 is the kernel's bound itself."""
     for big in BIGS:
         yield huge_table(n, d, seed, big)
-        yield FunctionTable.constant(n, d, big)
-        yield FunctionTable.constant(n, d, -big)
+        yield constant(n, d, big)
+        yield constant(n, d, -big)
 
 
 def moved_weights(n, d, t, onto):
@@ -99,7 +111,7 @@ def moved_weights(n, d, t, onto):
 
 
 def test_forward_delta():
-    img = forward(FunctionTable.delta(3, 2))
+    img = forward(delta(3, 2))
     for h in iter_point_tuples(3, 2):
         for c in range(3):
             assert img.value(h, c) == (1 if c == 0 else 0)
@@ -115,7 +127,7 @@ def test_forward_n2_d1_by_hand():
 
 
 def test_forward_constant_fiber_sizes():
-    img = forward(FunctionTable.constant(3, 2, 1))
+    img = forward(constant(3, 2, 1))
     assert img.value((0, 0), 0) == 9
     for h in iter_point_tuples(3, 2):
         if any(h):
@@ -201,7 +213,7 @@ def test_criterion_small_cases_against_oracle():
 
 
 def test_criterion_rejects_zero_weights():
-    assert not verify_inverting(FunctionTable.constant(3, 2, 0))
+    assert not verify_inverting(constant(3, 2, 0))
 
 
 def test_criterion_rejects_corrupted_weights():
@@ -220,7 +232,7 @@ def test_criterion_mid_size_numpy_paths():
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 1), (3, 1), (5, 3), (3, 4), (9, 2)])
 def test_criterion_verdicts_match_oracle(n, d):
     # Moving 1/3 keeps int64; moving 10^30 forces several residue channels.
-    cases = [inversion_weights(n, d), FunctionTable.constant(n, d, 0)]
+    cases = [inversion_weights(n, d), constant(n, d, 0)]
     for t in (Fraction(1, 3), Fraction(10**30)) if n > 1 else ():
         cases += [moved_weights(n, d, t, None), moved_weights(n, d, t, (0,) * d)]
         if n % 2:
@@ -248,7 +260,7 @@ def test_round_trip_integer_valued():
 
 
 def test_delta_reconstructs():
-    f = FunctionTable.delta(5, 2, at=(2, 4))
+    f = delta(5, 2, at=(2, 4))
     assert invert(forward(f)) == f
 
 
@@ -262,7 +274,7 @@ def test_round_trip_huge_weights():
     # Inverting weights past int64 take the same exact path, also on an
     # all-zero image.  Moved onto the zero hom they no longer invert, and
     # their huge parts no longer cancel.
-    for g in (random_table(5, 3, random.Random(19)), FunctionTable.constant(5, 3, 0)):
+    for g in (random_table(5, 3, random.Random(19)), constant(5, 3, 0)):
         img = forward(g)
         assert backproject(img, moved_weights(5, 3, Fraction(10**30), (2, 0, 0))) == g
         off = moved_weights(5, 3, Fraction(10**30), (0, 0, 0))
@@ -333,7 +345,7 @@ def test_product_lift_trivial_factor():
 
 
 def test_fourier_delta():
-    assert fourier_invert_at_zero(forward(FunctionTable.delta(3, 2))) == 1
+    assert fourier_invert_at_zero(forward(delta(3, 2))) == 1
 
 
 def test_fourier_matches_value_at_zero():
@@ -363,7 +375,7 @@ def test_image_json_round_trip():
     again = RadonImage.from_json(text)
     assert again == img
     assert again.to_json() == text
-    entries = img.to_obj()["entries"]
+    entries = json.loads(text)["entries"]
     assert entries == sorted(entries, key=lambda e: (e[0], e[1]))
 
 
@@ -377,9 +389,66 @@ def test_files_write_values_in_lowest_terms():
     """Numerators share one denominator in memory, but files print each value
     the way Fraction does: "p/q" in lowest terms."""
     f = random_table(3, 2, random.Random(25))
-    for row in f.to_obj()["values"] + forward(f).to_obj()["entries"]:
+    rows = json.loads(f.to_json())["values"] + json.loads(forward(f).to_json())["entries"]
+    for row in rows:
         fr = Fraction(row[-1])
         assert row[-1] == f"{fr.numerator}/{fr.denominator}"
+
+
+# Zero, signs, both sides of 2^63 and a 201-bit numerator.
+NUMERATORS = (0, 1, -1, 7, -12, 2**63 - 1, 2**63 + 1, -(2**63 + 1), 2**200, -(2**200))
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 3), (5, 2), (48, 1)])
+@pytest.mark.parametrize("den", [1, 12, 3**90 * 2**7])
+def test_files_are_the_json_of_the_rows(n, d, den):
+    rng = random.Random(n * d * den)
+    for cls, size in ((FunctionTable, n**d), (RadonImage, n ** (d + 1))):
+        table = cls(n, d, [rng.choice(NUMERATORS) for _ in range(size)], den)
+        text = table.to_json()
+        assert text == rows_json_oracle(table)
+        assert cls.from_json(text) == table
+
+
+def _variants(doc, key, rng):
+    """The document with its rows shuffled, and in order with each value
+    rewritten in another form that Fraction reads: an int, "+p/q", a
+    decimal, or "p/q" not in lowest terms."""
+    shuffled = json.loads(json.dumps(doc))
+    rng.shuffle(shuffled[key])
+    rewritten = json.loads(json.dumps(doc))
+    for k, row in enumerate(rewritten[key]):
+        v = Fraction(row[-1])
+        forms = [f"{3 * v.numerator}/{3 * v.denominator}"] + [f"+{row[-1]}"] * (v >= 0)
+        if v.denominator == 1:
+            forms += [v.numerator, str(v.numerator)]
+        if 8 % v.denominator == 0:
+            forms.append(str(v.numerator / v.denominator))
+        row[-1] = forms[k % len(forms)]
+    return shuffled, rewritten
+
+
+def test_noncanonical_files_parse_like_the_canonical_one():
+    rng = random.Random(27)
+    f = random_table(4, 2, rng)
+    for table, key in ((f, "values"), (forward(f), "entries")):
+        doc = json.loads(table.to_json())
+        for variant in _variants(doc, key, rng):
+            assert variant != doc
+            assert type(table).from_obj(variant) == table
+
+
+def test_hand_written_values_parse():
+    rows = [[[0], 7], [[1], "7"], [[2], "+1/2"], [[3], "1.5"], [[4], "-2/4"], [[5], "0/5"]]
+    values = [7, 7, Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2), 0]
+    table = FunctionTable.from_obj({"n": 6, "d": 1, "values": rows})
+    assert [table.value((x,)) for x in range(6)] == values
+
+
+def test_a_value_holding_two_ratios_is_refused_at_its_row():
+    rows = [[[0], "1/2"], [[1], "1/2\n3/4"], [[2], "5/6"]]
+    with pytest.raises(DomainError, match=r"^values\[1\]: malformed entry"):
+        FunctionTable.from_obj({"n": 3, "d": 1, "values": rows})
 
 
 def test_function_table_requires_complete_table():

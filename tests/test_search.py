@@ -7,12 +7,7 @@ from fsrecon.counterexamples import build, z2_pair
 from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.groups import GroupSpec, cyclic
 from fsrecon.multisets import Multiset, sim0_check
-from fsrecon.search import (
-    enumerate_multisets,
-    fs_preimages,
-    regularity_scan,
-    verify_add_subset_sums,
-)
+from fsrecon.search import fs_preimages, regularity_scan, verify_add_subset_sums
 from oracles import fs_bruteforce, preimages_oracle, scan_oracle
 
 Z2 = cyclic(2)
@@ -26,30 +21,33 @@ def ms(group, *elements):
 
 
 # -- enumeration ---------------------------------------------------------------
+# The scan checks each multiset of sizes 1 to max_size once: as many as the
+# oracle enumerates, C(k + s - 1, s) of size s over k elements.
 
 
 def test_enumerate_counts():
-    assert len(list(enumerate_multisets(Z3, 2))) == 6  # C(3+2-1, 2)
+    assert regularity_scan(Z3, 2).checked == scan_oracle(Z3, 2)[0] == 3 + 6
 
 
 def test_enumerate_z2_size2():
-    got = list(enumerate_multisets(Z2, 2))
-    assert got == [ms(Z2, 0, 0), ms(Z2, 0, 1), ms(Z2, 1, 1)]
+    report = regularity_scan(Z2, 2)
+    assert report.checked == 2 + 3 and report.exhaustive
+    # {0, 1} and {1, 1} both have subset sums {0, 0, 1, 1}.
+    assert report.violations == scan_oracle(Z2, 2)[1] == [(ms(Z2, 0, 1), ms(Z2, 1, 1))]
 
 
 def test_enumerate_bounded_z():
-    got = list(enumerate_multisets(Z, 1, bound=1))
-    assert got == [ms(Z, -1), ms(Z, 0), ms(Z, 1)]
+    assert regularity_scan(Z, 1, bound=1).checked == scan_oracle(Z, 1, 1)[0] == 3
 
 
 def test_enumerate_infinite_needs_bound():
     with pytest.raises(DomainError):
-        next(enumerate_multisets(Z, 1))
+        regularity_scan(Z, 1)
 
 
 def test_enumerate_no_duplicates():
-    seen = list(enumerate_multisets(GroupSpec((2, 3)), 3))
-    assert len(seen) == len(set(seen))
+    group = GroupSpec((2, 3))
+    assert regularity_scan(group, 3).checked == scan_oracle(group, 3)[0] == 6 + 21 + 56
 
 
 # -- subset-sums inversion ---------------------------------------------------------
