@@ -20,9 +20,17 @@ from .radon import FunctionTable, RadonImage
 __all__ = ["main"]
 
 
+def _decode(load, source):
+    """load(source); JSON nested past the decoder's recursion limit is bad input."""
+    try:
+        return load(source)
+    except RecursionError:
+        raise DomainError("JSON nested too deeply to decode") from None
+
+
 def _read_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return _decode(json.load, fh)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -44,10 +52,8 @@ def _emit(args, obj: dict, lines: list[str]) -> None:
 
 
 def _cmd_fs(args) -> int:
-    ms = Multiset.from_obj(_read_json(args.infile))
-    fs = ms.subset_sums()
-    text = fs.to_json()
-    _write_text(args.out, text)
+    fs = Multiset.from_obj(_read_json(args.infile)).subset_sums()
+    _write_text(args.out, fs.to_json())
     return 0
 
 
@@ -90,8 +96,7 @@ def _cmd_ofs(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     pair = counterexamples.build(args.n, args.mode)
-    obj = pair.to_obj()
-    obj["mode"] = args.mode
+    obj = {**pair.to_obj(), "mode": args.mode}
     lines = [
         f"n={pair.n} d={pair.d} k={pair.k} verified={pair.verified}",
         f"A  = {pair.a}",
@@ -173,7 +178,7 @@ def _cmd_cyclo(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.action == "scan":
-        group = GroupSpec.from_obj(json.loads(args.group))
+        group = GroupSpec.from_obj(_decode(json.loads, args.group))
         report = search.regularity_scan(
             group, args.max_size, bound=args.bound, budget=args.budget
         )
@@ -394,9 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
-    # RecursionError: JSON nested too deeply for the decoder.
-    except (DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError,
-            RecursionError) as exc:
+    except (DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -42,35 +42,27 @@ BRANCH_HALF_OK = "half-order-ok"
 BRANCH_HALF_MINUS_ONE = "half-order-minus-one"
 BRANCH_LOW_ORDER = "low-order"
 
-# factorize refuses n from FACTORIZE_CAP on.  The brute-force covering test
-# and the listings run over every number up to their n or limit, and stop at
-# these.
+# factorize refuses n from FACTORIZE_CAP on; the brute-force covering test and
+# the listings, which run over every number up to their n or limit, stop at these.
 FACTORIZE_CAP = 2**50
 BRUTEFORCE_CAP = 10**6
 LIST_CAP = 10**6
 
 
-# The first 12 primes.  As Miller-Rabin bases they decide primality for every
-# n below 3.1 * 10^23, far past FACTORIZE_CAP.
+# As Miller-Rabin bases, the first 12 primes decide every n below 3.1 * 10^23.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin on the bases _SMALL_PRIMES."""
+    """Deterministic Miller-Rabin on the bases _SMALL_PRIMES: with n - 1 =
+    2^s t, t odd, each base a must have a^t = 1 or a^(2^r t) = -1 for an r < s."""
     if n < 2 or any(n % p == 0 for p in _SMALL_PRIMES):
         return n in _SMALL_PRIMES
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, (n - 1) >> s, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    t = (n - 1) >> s
+    return all(
+        pow(a, t, n) == 1 or n - 1 in (pow(a, t << r, n) for r in range(s)) for a in _SMALL_PRIMES
+    )
 
 
 def _prime_parts(n: int) -> list[int]:

@@ -18,21 +18,18 @@ only, on one or more residue channels: a bound proved up front caps every
 partial sum, and when it passes int64 the kernel runs once per modulus of a
 set whose product exceeds twice the bound, and an exact CRT rebuild
 recovers each integer.  Grids built from arguments stop at MAX_IMAGE_ENTRIES
-image entries.  The transform is not surjective, so ``invert`` does not
-validate its input; ``mass_consistent`` is the explicit sanity check, and
-the character-sum route ``fourier_invert_at_zero`` provides an independent
-second inverse.
+image entries.  The transform is not surjective and ``invert`` trusts its
+input; ``fourier_invert_at_zero`` is an independent second inverse.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 import re
 from fractions import Fraction
 from itertools import chain, cycle, islice, repeat
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -59,9 +56,10 @@ __all__ = [
 # has 4.1M entries.
 MAX_IMAGE_ENTRIES = 2**23
 _INT64_SAFE = 2**62
-# Values "p/q" with q > 0, one a line: a subset of what Fraction parses.
-_RATIOS = re.compile(r"(?:-?[0-9]+/0*[1-9][0-9]*\n)*+-?[0-9]+/0*[1-9][0-9]*")
-_BLOCK = 512  # rows per pass of `_columns`: its temporaries stay small and in cache
+# "p/q" with q > 0, a subset of what Fraction parses, alone and one a line.
+_RATIO = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
+_RATIOS = re.compile(rf"(?:{_RATIO.pattern}\n)*{_RATIO.pattern}")
+_BLOCK = 512  # rows per call of `_ratios`: its temporaries stay small and in cache
 
 
 def _check_dims(n: int, d: int) -> None:
@@ -101,10 +99,11 @@ def iter_point_tuples(n: int, d: int) -> Iterator[tuple[int, ...]]:
 # -- tables ------------------------------------------------------------------
 
 
-def _parse(obj, key: str, extra: int) -> tuple[int, int, list[int], int]:
-    """n, d, numerators and denominator of a document with one row per point
-    of (Z/nZ)^(d + extra) under `key`.  `_fill` is the validator; rows in
-    the canonical form that `_write` writes take `_columns` instead."""
+def _parse(cls, obj) -> _Rows:
+    """A complete document of cls: one row per point of (Z/nZ)^(d + extra)
+    under its key, [point, value] for a table and [coeffs, c, value] for an
+    image."""
+    key, extra = cls._key, cls._extra
     if not isinstance(obj, dict):
         raise DomainError(f"expected a JSON object with keys n, d and {key}")
     n, d, rows = obj.get("n"), obj.get("d"), obj.get(key)
@@ -113,70 +112,70 @@ def _parse(obj, key: str, extra: int) -> tuple[int, int, list[int], int]:
     # With n >= 2, n^(d + extra) > size once d + extra passes size's bit length.
     if size < 0 or (n > 1 and d + extra > size.bit_length()) or size != n ** (d + extra):
         raise DomainError(f"{key} must be a list of {n}^{d + extra} rows")
-    return n, d, *(_columns(n, d, rows, extra) or _fill(n, d + extra, rows, extra, key))
+    return cls(n, d, *_fill(n, d + extra, rows, extra, key))
 
 
-def _fill(n: int, dims: int, rows: Iterable, extra: int, where: str) -> tuple[list[int], int]:
+def _fill(n: int, dims: int, rows: list, extra: int, where: str) -> tuple[list[int], int]:
     """Numerators over one common denominator, in point order, from rows
     [coords, value] (extra = 0) or [coeffs, c, value] (extra = 1) that name
     each point of (Z/nZ)^dims once.  A value is an int, a Fraction or a
-    string that Fraction parses.  An error names its row as where[k]."""
+    string that Fraction parses.  `_ratios` reads whole blocks of rows in the
+    form `_write` writes; from the first block that is not, rows go one by
+    one, and an error names its row as where[k]."""
     _check_dims(n, dims)
     nums: list = [None] * n**dims
     dens = [1] * len(nums)
-    for k, row in enumerate(rows):
-        try:
+    k = 0
+    while k < len(rows) == len(nums) and (
+        ratios := _ratios(rows[k : k + _BLOCK], k, n, dims - extra, extra)
+    ):
+        nums[k : k + _BLOCK], dens[k : k + _BLOCK] = ratios
+        k += _BLOCK
+    try:
+        for k, row in enumerate(islice(rows, k, None), k):
             coeffs, *c, v = row
             if len(c) != extra:
                 raise DomainError(f"expected a row of {2 + extra} items")
             i = _index(n, dims, [*coeffs, *c])
             if type(v) not in (int, str, Fraction):
                 raise DomainError(f"value {v!r} is neither an integer nor a string")
-            nums[i], dens[i] = Fraction(v).as_integer_ratio()
-        except DomainError as exc:
-            raise DomainError(f"{where}[{k}]: {exc}") from None
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"{where}[{k}]: malformed entry: {exc}") from None
+            ratio = type(v) is str and _RATIO.fullmatch(v)  # skips building a Fraction
+            nums[i], dens[i] = map(int, v.split("/")) if ratio else Fraction(v).as_integer_ratio()
+    except DomainError as exc:
+        raise DomainError(f"{where}[{k}]: {exc}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"{where}[{k}]: malformed entry: {exc}") from None
     if None in nums:
         raise DomainError(f"need exactly one entry for each of the {n}^{dims} points")
-    den = math.lcm(*dens)
-    return [num * (den // q) for num, q in zip(nums, dens)], den
-
-
-def _columns(n: int, d: int, rows: list, extra: int) -> tuple[list[int], int] | None:
-    """The ratios `_fill` reads, for rows in canonical form (int coordinates
-    in point order, "p/q" values), or None.  Each block of rows is checked
-    by C-level passes over its columns: shapes, types, key digits, and one
-    regex match."""
-    powers = np.array([n**k for k in range(d + extra - 1, -1, -1)], dtype=np.int64)
-    nums, dens, qs = [], [], {}
-    for start in range(0, len(rows), _BLOCK):
-        block = rows[start : start + _BLOCK]
-        if set(map(type, block)) != {list} or set(map(len, block)) != {2 + extra}:
-            return None
-        heads, *cs, values = zip(*block)
-        if set(map(type, heads)) != {list} or set(map(len, heads)) != {d}:
-            return None
-        keys = list(chain(*heads, *cs))
-        want = np.arange(start, start + len(block))[:, None] // powers % n
-        text = "\n".join(values) if set(map(type, values)) == {str} else ""
-        if (
-            set(map(type, keys)) != {int}
-            or not np.array_equal(keys, np.concatenate((want[:, :d].ravel(), want[:, d:].ravel())))
-            or text.count("\n") != len(block) - 1
-            or not _RATIOS.fullmatch(text)
-        ):
-            return None
-        parts = text.replace("\n", "/").split("/")
-        try:
-            nums += map(int, parts[::2])
-            qs.update((q, int(q)) for q in set(parts[1::2]).difference(qs))
-        except ValueError:  # past int()'s digit limit
-            return None
-        dens += map(qs.__getitem__, parts[1::2])
-    den = math.lcm(*qs.values())
-    scale = {q: den // q for q in qs.values()}
+    qs = set(dens)
+    den = math.lcm(*qs)
+    scale = {q: den // q for q in qs}
     return list(map(operator.mul, nums, map(scale.__getitem__, dens))), den
+
+
+def _ratios(block: list, start: int, n: int, d: int, extra: int) -> tuple[list, list] | None:
+    """Numerators and denominators of block = rows[start:], or None unless its
+    rows are [coords, *c, "p/q"] with int coordinates in point order: checked
+    by C-level passes over the columns and one regex match."""
+    if set(map(type, block)) != {list} or set(map(len, block)) != {2 + extra}:
+        return None
+    heads, *cs, values = zip(*block)
+    digits = np.arange(start, start + len(block))[:, None] // n ** np.arange(d + extra)[::-1] % n
+    if (
+        set(map(type, heads)) != {list} or set(map(len, heads)) != {d}
+        or set(map(type, keys := list(chain(*heads, *cs)))) != {int}
+        or not np.array_equal(keys, np.concatenate((digits[:, :d].ravel(), digits[:, d:].ravel())))
+        or set(map(type, values)) != {str}
+        or (text := "\n".join(values)).count("\n") != len(block) - 1
+        or not _RATIOS.fullmatch(text)
+    ):
+        return None
+    parts = text.replace("\n", "/").split("/")
+    try:  # int() refuses strings past its digit limit
+        qs = {q: int(q) for q in set(parts[1::2])}
+        return list(map(int, parts[::2])), list(map(qs.__getitem__, parts[1::2]))
+    except ValueError:
+        return None
 
 
 def _write(table: _Rows) -> str:
@@ -220,10 +219,6 @@ class _Rows:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, d={self.d})"
 
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_obj(json.loads(text))
-
 
 class FunctionTable(_Rows):
     """A complete exact-rational table on the points of (Z/nZ)^d."""
@@ -234,7 +229,7 @@ class FunctionTable(_Rows):
     @classmethod
     def from_values(cls, n: int, d: int, values: Mapping) -> FunctionTable:
         """Build from a {point: value} mapping with one entry per point."""
-        return cls(n, d, *_fill(n, d, values.items(), 0, "values"))
+        return cls(n, d, *_fill(n, d, list(values.items()), 0, "values"))
 
     def value(self, point) -> Fraction:
         return Fraction(self._nums[_index(self.n, self.d, point)], self._den)
@@ -242,13 +237,8 @@ class FunctionTable(_Rows):
     def total(self) -> Fraction:
         return Fraction(sum(self._nums), self._den)
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> FunctionTable:
-        """Parse a complete table: one [point, value] row per point."""
-        return cls(*_parse(obj, cls._key, cls._extra))
-
-    def to_json(self) -> str:
-        return _write(self)
+    from_obj = classmethod(_parse)
+    to_json = _write
 
 
 # random_table draws k/q with |k| <= 99 and q one of these denominators, which
@@ -280,28 +270,14 @@ class RadonImage(_Rows):
     def value(self, coeffs, c: int) -> Fraction:
         return Fraction(self._nums[_index(self.n, self.d + 1, [*coeffs, c % self.n])], self._den)
 
-    def mass_by_hom(self) -> list[Fraction]:
-        n, den = self.n, self._den
-        return [Fraction(sum(self._nums[i : i + n]), den) for i in range(0, len(self._nums), n)]
-
-    def mass_consistent(self) -> bool:
-        """Every homomorphism must see the same total mass."""
-        masses = self.mass_by_hom()
-        return all(m == masses[0] for m in masses)
-
     def perturbed(self, coeffs, c: int, delta) -> RadonImage:
         p, q = Fraction(delta).as_integer_ratio()
         nums = [num * q for num in self._nums]
         nums[_index(self.n, self.d, coeffs) * self.n + c % self.n] += p * self._den
         return RadonImage(self.n, self.d, nums, self._den * q)
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> RadonImage:
-        """Parse a complete image: one [coeffs, c, value] row per (coeffs, c)."""
-        return cls(*_parse(obj, cls._key, cls._extra))
-
-    def to_json(self) -> str:
-        return _write(self)
+    from_obj = classmethod(_parse)
+    to_json = _write
 
 
 # -- weights ------------------------------------------------------------------

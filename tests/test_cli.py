@@ -139,11 +139,11 @@ def test_radon_forward_invert_files(tmp_path, capsys):
     rpath = tmp_path / "rf.json"
     fpath.write_text(f.to_json())
     assert main(["radon", "forward", "--in", str(fpath), "--out", str(rpath)]) == 0
-    img = RadonImage.from_json(rpath.read_text())
+    img = RadonImage.from_obj(json.loads(rpath.read_text()))
     assert img == forward(f)
     gpath = tmp_path / "g.json"
     assert main(["radon", "invert", "--in", str(rpath), "--out", str(gpath)]) == 0
-    assert FunctionTable.from_json(gpath.read_text()) == f
+    assert FunctionTable.from_obj(json.loads(gpath.read_text())) == f
 
 
 def test_radon_verify_command(capsys):
@@ -280,7 +280,7 @@ def test_radon_forward_accepts_integer_and_decimal_values(tmp_path, capsys):
     path.write_text(json.dumps(_table([3, "1.5", "-1/2"], n=3)))
     code, out = run(capsys, "radon", "forward", "--in", str(path))
     assert code == 0
-    assert RadonImage.from_json(out) == forward(FunctionTable.from_values(3, 1, {
+    assert RadonImage.from_obj(json.loads(out)) == forward(FunctionTable.from_values(3, 1, {
         (0,): 3, (1,): Fraction(3, 2), (2,): Fraction(-1, 2)
     }))
 
