@@ -165,8 +165,9 @@ class CycloElement:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -211,7 +212,9 @@ def unit_word_eval(d: int, exponents: Sequence[int]) -> tuple[CycloElement, Cycl
 
 def verify_distribution(n: int, p: int, j: int) -> bool:
     """Check the distribution relation: the product of (1 + w^(j + k n/p))
-    over k < p equals 1 + w^(j p), exactly in the field."""
+    over k < p equals 1 + w^(j p), exactly in the field, as the unit word of
+    its relation vector.  Where j p is one of the j + k n/p the two entries
+    cancel, which is sound because 1 + w^m is never 0 for odd n."""
     if n % 2 == 0 or n < 1:
         raise DomainError(f"n must be odd and positive, got {n}")
     if n > DISTRIBUTION_CAP:
@@ -220,12 +223,8 @@ def verify_distribution(n: int, p: int, j: int) -> bool:
         raise DomainError(f"{p} does not divide {n}")
     if not 0 <= j < n // p:
         raise DomainError(f"index {j} out of range for n={n}, p={p}")
-    step = n // p
-    lhs = CycloElement.rational(n, 1)
-    for k in range(p):
-        lhs = lhs * CycloElement.one_plus_root(n, j + k * step)
-    rhs = CycloElement.one_plus_root(n, j * p)
-    return lhs == rhs
+    numerator, denominator = unit_word_eval(n, distribution_relation_vector(n, p, j))
+    return numerator == denominator
 
 
 def fold_exponents(n: int, d: int, x: Sequence[int]) -> tuple[int, ...]:

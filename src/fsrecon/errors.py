@@ -10,14 +10,6 @@ class GroupMismatchError(DomainError):
     """Two values that must live in the same group do not."""
 
 
-class NotASubsetError(DomainError):
-    """difference(B, A) needs A contained in B; carries a violating element."""
-
-    def __init__(self, message, element=None):
-        super().__init__(message)
-        self.element = element
-
-
 class ResourceCapError(RuntimeError):
     """A size or budget cap would be exceeded."""
 

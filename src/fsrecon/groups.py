@@ -2,8 +2,9 @@
 
 A group is described by a tuple of moduli: entry ``m >= 1`` stands for the
 integers mod m, entry ``0`` for an infinite cyclic factor.  Elements are
-coordinate vectors, kept canonically reduced into [0, m) on every finite
-factor, so that value equality and hashing are well defined.
+coordinate vectors, reduced into [0, m) on every finite factor by the one
+constructor that builds them all, so that value equality and hashing are
+well defined.
 """
 from __future__ import annotations
 
@@ -43,12 +44,6 @@ class GroupSpec:
             raise DomainError(f"{self} is infinite")
         return math.prod(self.moduli)
 
-    def exponent(self) -> int:
-        """lcm of all element orders; finite groups only."""
-        if not self.is_finite():
-            raise DomainError(f"{self} is infinite")
-        return math.lcm(*self.moduli) if self.moduli else 1
-
     def has_two_torsion(self) -> bool:
         """True when some element has order 2, i.e. some finite modulus is even."""
         return any(m > 0 and m % 2 == 0 for m in self.moduli)
@@ -57,14 +52,8 @@ class GroupSpec:
         return GroupElement((0,) * len(self.moduli), self)
 
     def element(self, coords: Sequence[int]) -> GroupElement:
-        """Build an element, reducing each coordinate into canonical range."""
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != len(self.moduli):
-            raise DomainError(
-                f"expected {len(self.moduli)} coordinates, got {len(coords)}"
-            )
-        canon = tuple(c % m if m else c for c, m in zip(coords, self.moduli))
-        return GroupElement(canon, self)
+        """Build an element from integer-valued coordinates."""
+        return GroupElement([int(c) for c in coords], self)
 
     def iter_elements(self) -> Iterator[GroupElement]:
         """All elements in lexicographic coordinate order; finite groups only."""
@@ -91,13 +80,18 @@ def cyclic(n: int) -> GroupSpec:
 
 @dataclass(frozen=True)
 class GroupElement:
+    """Built from any integer coordinates, of which each finite one is
+    stored reduced into [0, m)."""
+
     coords: tuple[int, ...]
     group: GroupSpec
 
     def __post_init__(self):
-        for c, m in zip(self.coords, self.group.moduli):
-            if m and not 0 <= c < m:
-                raise DomainError(f"coordinate {c} out of range for modulus {m}")
+        moduli = self.group.moduli
+        if len(self.coords) != len(moduli):
+            raise DomainError(f"expected {len(moduli)} coordinates, got {len(self.coords)}")
+        canon = tuple([c % m if m else c for c, m in zip(self.coords, moduli)])
+        object.__setattr__(self, "coords", canon)
 
     def __str__(self) -> str:
         if len(self.coords) == 1:
@@ -115,18 +109,16 @@ class GroupElement:
 
     def __add__(self, other: GroupElement) -> GroupElement:
         self._require_same_group(other)
-        return self.group.element(
-            tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        return GroupElement([a + b for a, b in zip(self.coords, other.coords)], self.group)
 
     def __neg__(self) -> GroupElement:
-        return self.group.element(tuple(-c for c in self.coords))
+        return GroupElement([-c for c in self.coords], self.group)
 
     def __sub__(self, other: GroupElement) -> GroupElement:
         return self + (-other)
 
     def scale(self, k: int) -> GroupElement:
-        return self.group.element(tuple(k * c for c in self.coords))
+        return GroupElement([k * c for c in self.coords], self.group)
 
     def __rmul__(self, k: int) -> GroupElement:
         if not isinstance(k, int):
@@ -135,17 +127,6 @@ class GroupElement:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def order(self) -> int | None:
-        """Least k >= 1 with k*x = 0, or None when x has infinite order."""
-        k = 1
-        for c, m in zip(self.coords, self.group.moduli):
-            if m == 0:
-                if c != 0:
-                    return None
-            elif c:
-                k = math.lcm(k, m // math.gcd(c, m))
-        return k
 
     def to_obj(self) -> list[int]:
         return list(self.coords)

@@ -16,14 +16,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .errors import (
-    DomainError,
-    GroupMismatchError,
-    NotASubsetError,
-    ResourceCapError,
-)
+from .errors import DomainError, GroupMismatchError, ResourceCapError
 from .groups import GroupElement, GroupSpec
 
 __all__ = [
@@ -91,10 +86,6 @@ class Multiset:
         raise AttributeError("Multiset is immutable")
 
     @classmethod
-    def empty(cls, group: GroupSpec) -> Multiset:
-        return cls(group)
-
-    @classmethod
     def from_elements(cls, group: GroupSpec, elements: Iterable) -> Multiset:
         return cls(group, ((x, 1) for x in elements))
 
@@ -112,12 +103,6 @@ class Multiset:
 
     def items(self) -> list[tuple[GroupElement, int]]:
         return [(x, self._mult[x]) for x in self.support()]
-
-    def __iter__(self) -> Iterator[tuple[GroupElement, int]]:
-        return iter(self.items())
-
-    def __contains__(self, x) -> bool:
-        return self.multiplicity(x) >= 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multiset):
@@ -145,51 +130,9 @@ class Multiset:
 
     # -- multiset calculus ----------------------------------------------
 
-    def union(self, other: Multiset) -> Multiset:
-        """Multiplicities add, so |A u B| = |A| + |B|."""
-        self._require_same_group(other)
-        counts = dict(self._mult)
-        for x, m in other._mult.items():
-            counts[x] = counts.get(x, 0) + m
-        return Multiset(self.group, counts)
-
-    def difference(self, other: Multiset) -> Multiset:
-        """Pointwise subtraction; requires other to be a subset of self."""
-        self._require_same_group(other)
-        counts = dict(self._mult)
-        for x, m in other._mult.items():
-            have = counts.get(x, 0)
-            if m > have:
-                raise NotASubsetError(
-                    f"element {x} has multiplicity {m} > {have}", element=x
-                )
-            if m == have:
-                del counts[x]
-            else:
-                counts[x] = have - m
-        return Multiset(self.group, counts)
-
-    def pushforward(self, f: Callable[[GroupElement], GroupElement]) -> Multiset:
-        """Image multiset, over the group of f's values; multiplicities of
-        merged fibers add, so the cardinality is preserved."""
-        counts: dict[GroupElement, int] = {}
-        for x, m in self._mult.items():
-            y = f(x)
-            counts[y] = counts.get(y, 0) + m
-        target = next(iter(counts)).group if counts else self.group
-        return Multiset(target, counts)
-
-    def negate(self) -> Multiset:
-        return self.pushforward(lambda x: -x)
-
     def scale(self, k: int) -> Multiset:
-        return self.pushforward(lambda x: k * x)
-
-    def shift(self, g: GroupElement) -> Multiset:
-        """Translate every element by g."""
-        if g.group != self.group:
-            raise GroupMismatchError("shift element lives in the wrong group")
-        return self.pushforward(lambda x: x + g)
+        """The image under x -> k*x; the counts of merged elements add."""
+        return Multiset(self.group, ((k * x, m) for x, m in self._mult.items()))
 
     def total(self) -> GroupElement:
         """Sum of all elements counted with multiplicity."""
@@ -258,10 +201,6 @@ class Multiset:
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> Multiset:
-        return cls.from_obj(json.loads(text))
 
 
 @dataclass(frozen=True)

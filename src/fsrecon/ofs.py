@@ -89,7 +89,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise DomainError(f"cannot factor {n}")
     if n >= FACTORIZE_CAP:
-        raise ResourceCapError(f"trial division capped below 2^50, got {n}")
+        raise ResourceCapError(f"factoring capped below 2^50, got {n}")
     primes = []
     for p in _SMALL_PRIMES:
         while n % p == 0:

@@ -13,7 +13,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, ResourceCapError
 from .groups import GroupElement, GroupSpec
@@ -169,15 +169,12 @@ def regularity_scan(
     max_size: int,
     bound: int | None = None,
     budget: int | None = None,
-    extra_pairs: Iterable[tuple[Multiset, Multiset]] = (),
 ) -> ScanReport:
     """Scan all multisets up to max_size for pairs with equal subset sums
     that are not zero-flip equivalent.
 
     Multisets are bucketed by their exact subset-sums multiset; only pairs
-    from different zero-flip classes of one bucket violate.  Supplied extra
-    pairs (e.g. a constructed candidate) are checked by the same exact
-    criteria.  The scan walks the multisets depth first, each one extending
+    from different zero-flip classes of one bucket violate.  The scan walks the multisets depth first, each one extending
     the subset sums of its prefix, so when the budget runs out no size has
     been fully checked; the report is then flagged non-exhaustive.
     """
@@ -209,10 +206,6 @@ def regularity_scan(
         sets = [Multiset.from_elements(group, seq) for seq in members]
         label = {m: i for i, cls in enumerate(_flip_classes(sets)) for m in cls}
         violations += [(a, b) for a, b in itertools.combinations(sets, 2) if label[a] != label[b]]
-    for a, b in extra_pairs:
-        fs_cap = max(a.cardinality, b.cardinality)
-        if a.subset_sums(cap=fs_cap) == b.subset_sums(cap=fs_cap) and not sim0_check(a, b)[0]:
-            violations.append((a, b))
     violations.sort(key=lambda pair: (pair[0].to_json(), pair[1].to_json()))
     report.violations = violations
     return report
@@ -241,7 +234,7 @@ def verify_add_subset_sums(group: GroupSpec, trials: int, seed: int = 0) -> bool
         ]
 
     # Exhaustive over the smallest shapes.
-    small_bs = [Multiset.empty(group), *small(4)]
+    small_bs = [Multiset(group), *small(4)]
     for a, a2 in itertools.combinations(small(5), 2):
         for b in small_bs:
             fs_b = b.subset_sums()

@@ -50,8 +50,15 @@ def iter_submultisets(ms: Multiset):
 
 
 def flip(ms: Multiset, sub: Multiset) -> Multiset:
-    """Negate the elements of sub inside ms: (ms \\ sub) u (-sub)."""
-    return ms.difference(sub).union(sub.negate())
+    """Negate the elements of sub inside ms: (ms \\ sub) u (-sub), counted
+    on a plain dict."""
+    counts = dict(ms.items())
+    for x, m in sub.items():
+        assert counts.get(x, 0) >= m, f"{sub} is not inside {ms}"
+        counts[x] -= m
+    for x, m in sub.items():
+        counts[-x] = counts.get(-x, 0) + m
+    return Multiset(ms.group, counts)
 
 
 def sim_oracle(a: Multiset, b: Multiset) -> bool:
@@ -115,15 +122,6 @@ def preimages_oracle(target: Multiset, bound: int | None = None) -> list[list[Mu
         else:
             classes.append([cand])
     return classes
-
-
-def order_oracle(x: GroupElement, cap: int = 10_000) -> int | None:
-    acc = x
-    for k in range(1, cap + 1):
-        if acc.is_zero():
-            return k
-        acc = acc + x
-    return None
 
 
 def all_small_groups(max_size: int) -> list[GroupSpec]:

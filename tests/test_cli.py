@@ -80,7 +80,7 @@ def test_fs_stops_at_the_distinct_sums_cap(tmp_path, capsys, monkeypatch, count,
     if code:
         assert captured.err.count("\n") == 1 and not out_path.exists()
     else:
-        assert Multiset.from_json(out_path.read_text()).support() == [
+        assert Multiset.from_obj(json.loads(out_path.read_text())).support() == [
             GroupSpec((0,)).element((s,)) for s in range(2**count)
         ]
 
@@ -94,7 +94,7 @@ def test_fs_subset_sums_file(tmp_path, capsys):
     path.write_text(a.to_json())
     code, out = run(capsys, "fs", "--in", str(path))
     assert code == 0
-    fs = Multiset.from_json(out)
+    fs = Multiset.from_obj(json.loads(out))
     assert fs == a.subset_sums()
 
 

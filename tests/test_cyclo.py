@@ -78,6 +78,16 @@ def test_minimal_polynomial_kills_root():
         assert acc.is_zero(), n
 
 
+def test_power_matches_repeated_multiplication():
+    for n in (1, 3, 9, 15):
+        for j in range(n):
+            x = CycloElement.one_plus_root(n, j)
+            acc = CycloElement.rational(n, 1)
+            for e in range(10):
+                assert x**e == acc, (n, j, e)
+                acc = acc * x
+
+
 def test_rational_detection():
     x = CycloElement.rational(9, Fraction(2, 3))
     assert x.is_rational() and x.rational_value() == Fraction(2, 3)

@@ -130,9 +130,10 @@ def _command(words, n, extra=st.just([])):
 
 def _kernel_test(n):
     """A vector of length n, of any length up to 22, or text that is no
-    vector at all."""
-    exact = st.lists(st.integers(-2, 2), min_size=max(n, 0), max_size=max(n, 0))
-    vector = (exact | st.lists(st.integers(-2, 2), max_size=22)).map(
+    vector at all; its entries are small or up to 10^4 in size."""
+    entry = st.integers(-2, 2) | st.integers(-10**4, 10**4)
+    exact = st.lists(entry, min_size=max(n, 0), max_size=max(n, 0))
+    vector = (exact | st.lists(entry, max_size=22)).map(
         lambda v: ",".join(map(str, v))
     )
     junk = st.sampled_from(["", "a,b", "1,,2", "1.5"])

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from fsrecon.errors import DomainError, GroupMismatchError
-from fsrecon.groups import GroupSpec, cyclic
-from oracles import all_small_groups, order_oracle
+from fsrecon.groups import GroupElement, GroupSpec, cyclic
 
 Z = cyclic(0)
 Z5 = cyclic(5)
@@ -59,28 +58,28 @@ def test_add_associative_commutative():
         assert (x + y) + z == x + (y + z)
 
 
-def test_order_examples():
-    assert cyclic(9).element((3,)).order() == 3
-    assert Z.element((1,)).order() is None
-    x = GroupSpec((6, 4)).element((2, 2))
-    assert x.order() == order_oracle(x) == 6
-
-
-def test_order_divides_exponent_exhaustive():
-    for g in all_small_groups(200):
-        if not g.is_finite():
-            continue
-        exponent = g.exponent()
-        for x in g.iter_elements():
-            assert exponent % x.order() == 0
-
-
-def test_order_matches_iteration_oracle():
+def test_elements_are_canonical_however_built():
     rng = random.Random(3)
-    g = GroupSpec((12, 10))
-    for _ in range(40):
-        x = g.element((rng.randint(0, 11), rng.randint(0, 9)))
-        assert x.order() == order_oracle(x)
+    g = GroupSpec((6, 0, 1))
+
+    def draw():
+        return [rng.choice([rng.randint(-20, 20), rng.randint(6, 99), -rng.randint(1, 99)])
+                for _ in range(3)]
+
+    for _ in range(200):
+        c, d, k = draw(), draw(), rng.randint(-9, 9)
+        x = GroupElement(tuple(c), g)
+        assert x == g.element(c)
+        assert 0 <= x.coords[0] < 6 and x.coords[1] == c[1] and x.coords[2] == 0
+        y = g.element(d)
+        assert x + y == g.element([a + b for a, b in zip(c, d)])
+        assert -x == g.element([-a for a in c])
+        assert k * x == g.element([k * a for a in c])
+    for coords in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(DomainError):
+            GroupElement(coords, g)
+        with pytest.raises(DomainError):
+            g.element(coords)
 
 
 def test_enumerate_z3():

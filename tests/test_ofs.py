@@ -32,7 +32,7 @@ def test_factorize_and_totient():
     assert factorize(2**50 - 1) == (
         (3, 1), (11, 1), (31, 1), (251, 1), (601, 1), (1801, 1), (4051, 1)
     )
-    # 2^50 has only small factors, but trial division refuses it unseen.
+    # 2^50 has only small factors, but the factoring cap refuses it unseen.
     with pytest.raises(ResourceCapError):
         factorize(2**50)
     assert totient(1) == 1
