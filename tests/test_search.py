@@ -203,6 +203,16 @@ def test_scan_report_serialization():
     assert len(obj["violations"]) == 1
 
 
+def test_scan_ignores_non_violating_extra_pairs():
+    # The scan checks {1} and {4} but does not report them: their subset
+    # sums differ, so they share no bucket.
+    report = regularity_scan(Z5, 1)
+    assert report.checked == 5
+    assert ms(Z5, 1).subset_sums() != ms(Z5, 4).subset_sums()
+    assert (ms(Z5, 1), ms(Z5, 4)) not in report.violations
+    assert not report.violations
+
+
 # -- the translation-cancellation property ----------------------------------------------
 
 
