@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import counterexamples, cyclo, ofs, radon, search
 from .groups import GroupSpec, cyclic
-from .multisets import Multiset, sim0_check
+from .multisets import Multiset, sim0_check, sums_space
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
 
@@ -190,8 +190,9 @@ def _bridge_group(n, size_cap, rng, random_pairs):
     by_fs: dict = {}
     by_sig: dict = {}
     # Every multiset of size <= size_cap once, with its subset sums.
-    for seq, sums in search._walk(group, list(group.iter_elements()), size_cap):
-        by_fs.setdefault(frozenset(sums.items()), set()).add(seq)
+    space = sums_space(group, size_cap, levels=size_cap + 1)
+    for seq, sums in search._walk(space, list(group.iter_elements()), size_cap):
+        by_fs.setdefault(space.key(sums), set()).add(seq)
         by_sig.setdefault(cyclo.unit_signature(Multiset.from_elements(group, seq)), set()).add(seq)
     # The two partitions coincide iff subset-sums equality and the kernel
     # test agree on every pair.

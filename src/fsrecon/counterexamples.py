@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceCapError, VerificationError
-from .groups import GroupSpec, cyclic
+from .groups import cyclic
 from .multisets import MAX_DISTINCT_SUMS, Multiset, sim0_check
 from .ofs import is_member
 
@@ -45,13 +45,12 @@ class CounterexamplePair:
 
 
 def _verify(n, d, k, a, a_prime, fs_cap) -> CounterexamplePair:
-    fs_a = a.subset_sums(cap=fs_cap)
-    fs_b = a_prime.subset_sums(cap=fs_cap)
+    fs_equal = a.same_subset_sums(a_prime, cap=fs_cap)
     equivalent, _ = sim0_check(a, a_prime)
-    if fs_a != fs_b or equivalent:
+    if not fs_equal or equivalent:
         raise VerificationError(
             f"counterexample construction failed for n={n}: "
-            f"fs_equal={fs_a == fs_b}, sim0={equivalent}"
+            f"fs_equal={fs_equal}, sim0={equivalent}"
         )
     return CounterexamplePair(n=n, d=d, k=k, a=a, a_prime=a_prime, verified=True)
 

@@ -93,6 +93,11 @@ class GroupElement:
         canon = tuple([c % m if m else c for c, m in zip(self.coords, moduli)])
         object.__setattr__(self, "coords", canon)
 
+    def __hash__(self) -> int:
+        # Equal elements have equal coordinates; hashing the group too would
+        # rehash its moduli on every dict lookup.
+        return hash(self.coords)
+
     def __str__(self) -> str:
         if len(self.coords) == 1:
             return str(self.coords[0])

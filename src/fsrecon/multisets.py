@@ -1,10 +1,23 @@
 """Finite multisets over an abelian group, their subset sums, and the two
 sign-flip equivalences that subset sums cannot distinguish.
 
-``subset_sums`` folds ``extend_subset_sums``, a product with the binomial
-weights of (1 + t^a)^mult, over the distinct elements; the search module's
-walk uses the same step.  Counts are exact arbitrary-precision integers; a
-24-element multiset already produces multiplicities around 2^24.
+The subset sums of A are the group-ring element prod_{a in A} (1 + t^a), and
+adding m copies of a multiplies by (1 + t^a)^m.  ``subset_sums``, the search
+module's walk and criterion 11 run that step through ``sums_space``, which
+picks one of two encodings by one predicate, ``_dense``:
+
+* over a finite group where the walk's count vectors fit in
+  MAX_DISTINCT_SUMS counts, the sums are an int64 vector indexed by each
+  element's mixed-radix position (lexicographic coordinate order), and one
+  step is v + v[shifted by a], once per copy;
+* over a group with a Z factor (sparse sums such as those of {1, 10^9}
+  would need a window of width 2 * 10^9) or a larger finite group, they
+  are a {GroupElement: count} map, extended by ``extend_subset_sums``.
+
+Counts are at most 2^|A|.  Below 2^62 one plain int64 channel holds them
+exactly; past it the vector runs on the residue channels of
+``fsrecon.channels``, the step reducing mod each modulus, and counts are
+rebuilt by CRT.  ``GroupElement``s are built only when sums leave the space.
 
 ``sim_check`` decides whether A' arises from A by negating some subset
 (equivalent to matching counts on every pair class {x, -x}), and
@@ -15,9 +28,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
+from . import channels
+from .channels import INT64_SAFE
 from .errors import DomainError, GroupMismatchError, ResourceCapError
 from .groups import GroupElement, GroupSpec
 
@@ -27,6 +45,7 @@ __all__ = [
     "Multiset",
     "Sim0Witness",
     "extend_subset_sums",
+    "sums_space",
     "sim_check",
     "sim0_check",
 ]
@@ -48,6 +67,96 @@ def extend_subset_sums(sums: Mapping[GroupElement, int], a: GroupElement, m: int
             z = y + shift
             out[z] = out.get(z, 0) + c * w
     return out
+
+
+def _dense(group: GroupSpec, levels: int) -> bool:
+    """Whether sums over `group` are count vectors: the group is finite and
+    `levels` vectors of its size, one per level a walk holds at once, fit in
+    MAX_DISTINCT_SUMS counts."""
+    return group.is_finite() and levels * group.size() <= MAX_DISTINCT_SUMS
+
+
+class _MapSums:
+    """Sums as {GroupElement: count} maps, extended by extend_subset_sums."""
+
+    def __init__(self, group: GroupSpec):
+        self.group = group
+        self.start = {group.zero(): 1}
+
+    def shift(self, a: GroupElement) -> GroupElement:
+        return a
+
+    def step(self, sums: dict, a: GroupElement, m: int = 1) -> dict:
+        return extend_subset_sums(sums, a, m)
+
+    def key(self, sums: dict) -> frozenset:
+        return frozenset(sums.items())
+
+    def encode(self, ms: Multiset) -> dict:
+        return dict(ms.items())
+
+    def counts(self, sums: dict) -> dict:
+        return sums
+
+    def fits(self, sums: dict, want: dict) -> bool:
+        return all(c <= want.get(x, 0) for x, c in sums.items())
+
+
+class _VectorSums:
+    """Sums as int64 arrays of shape (channels, *moduli): counts of at most
+    `size`-element multisets, one channel while 2^size < INT64_SAFE and
+    otherwise one per residue modulus, each holding values below 2^61."""
+
+    def __init__(self, group: GroupSpec, size: int):
+        mods = group.moduli
+        self.group = group
+        self.moduli = [] if 2**size < INT64_SAFE else channels.moduli(2**size, 2, 1)
+        self.q = np.array(self.moduli, dtype=np.int64).reshape(-1, *[1] * len(mods))
+        self.start = np.zeros((max(len(self.moduli), 1), *mods), dtype=np.int64)
+        self.start.reshape(len(self.start), -1)[:, 0] = 1
+        self._strides = [math.prod(mods[i + 1:]) for i in range(len(mods))]
+        self._wrap = [np.arange(2 * m) % m for m in mods]
+
+    def shift(self, a: GroupElement) -> tuple:
+        """The index that gathers v[z - a] at every z."""
+        return (slice(None), *np.ix_(*[
+            w[m - c : 2 * m - c] for w, m, c in zip(self._wrap, self.group.moduli, a.coords)
+        ]))
+
+    def step(self, v: np.ndarray, shift: tuple, m: int = 1) -> np.ndarray:
+        for _ in range(m):
+            v = v + v[shift]
+            if self.moduli:  # both terms were below q
+                np.subtract(v, self.q, out=v, where=v >= self.q)
+        return v
+
+    def key(self, v: np.ndarray) -> bytes:
+        return v.tobytes()
+
+    def encode(self, ms: Multiset) -> np.ndarray:
+        """The counts of `ms` on the one plain channel."""
+        v = np.zeros_like(self.start)
+        for x, c in ms.items():
+            v.reshape(-1)[sum(map(operator.mul, x.coords, self._strides))] = c
+        return v
+
+    def counts(self, v: np.ndarray) -> dict:
+        flat = v.reshape(len(v), -1)
+        where = np.flatnonzero(flat.any(axis=0))
+        rows = flat[:, where].tolist()
+        values = channels.crt(rows, self.moduli) if self.moduli else rows[0]
+        strides, mods = (np.array(t, dtype=np.int64) for t in (self._strides, self.group.moduli))
+        coords = (where[:, None] // strides % mods).tolist()
+        return {GroupElement(c, self.group): n for c, n in zip(coords, values)}
+
+    def fits(self, v: np.ndarray, want: np.ndarray) -> bool:
+        return bool((v <= want).all())
+
+
+def sums_space(group: GroupSpec, size: int, levels: int = 1) -> _MapSums | _VectorSums:
+    """The encoding of the subset sums of multisets of at most `size`
+    elements over `group`, for a caller that holds `levels` of them at once."""
+    return _VectorSums(group, size) if _dense(group, levels) else _MapSums(group)
 
 
 def _coerce(group: GroupSpec, value) -> GroupElement:
@@ -151,30 +260,45 @@ class Multiset:
                 counts[z] = counts.get(z, 0) + mx * my
         return Multiset(self.group, counts)
 
-    def subset_sums(self, cap: int = DEFAULT_SUBSET_SUMS_CAP) -> Multiset:
-        """The multiset of all 2^|A| subset totals.
-
-        Folds ``extend_subset_sums`` over the distinct elements, starting
-        from {0}, which keeps the work proportional to the number of
-        distinct sums rather than 2^|A|.  A step that could take the count
-        of distinct sums past MAX_DISTINCT_SUMS is refused before it runs.
-        """
+    def _sums(self, cap: int) -> tuple:
+        """(space, sums): one step of ``sums_space`` per distinct element,
+        starting from {0}, which keeps the work proportional to the size of
+        the group or to the number of distinct sums rather than 2^|A|.  On
+        the map encoding, a step that could take the count of distinct sums
+        past MAX_DISTINCT_SUMS is refused before it runs; a count vector
+        never holds more."""
         size = self.cardinality
         if size > cap:
             raise ResourceCapError(
                 f"subset sums of a {size}-element multiset exceeds cap {cap}"
             )
+        space = sums_space(self.group, size)
         room = self.group.size() if self.group.is_finite() else math.inf
-        acc = {self.group.zero(): 1}
+        acc = space.start
         for a, m in self.items():
-            reach = min(len(acc) * (m + 1), room)
+            reach = min(len(acc) * (m + 1), room) if isinstance(acc, dict) else 0
             if reach > MAX_DISTINCT_SUMS:
                 raise ResourceCapError(
                     f"subset sums could reach {reach} distinct values, "
                     f"over the cap {MAX_DISTINCT_SUMS}"
                 )
-            acc = extend_subset_sums(acc, a, m)
-        return Multiset(self.group, acc)
+            acc = space.step(acc, space.shift(a), m)
+        return space, acc
+
+    def subset_sums(self, cap: int = DEFAULT_SUBSET_SUMS_CAP) -> Multiset:
+        """The multiset of all 2^|A| subset totals."""
+        space, acc = self._sums(cap)
+        return Multiset(self.group, space.counts(acc))
+
+    def same_subset_sums(self, other: Multiset, cap: int = DEFAULT_SUBSET_SUMS_CAP) -> bool:
+        """Whether the subset sums are equal, compared in their encoding
+        without building the elements.  Equal sums have equal totals 2^|A|,
+        so the two sizes, and with them the encodings, agree."""
+        self._require_same_group(other)
+        if self.cardinality != other.cardinality:
+            return False
+        space, a = self._sums(cap)
+        return space.key(a) == space.key(other._sums(cap)[1])
 
     # -- serialization ---------------------------------------------------
 

@@ -33,6 +33,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
+from .channels import exact
 from .cyclo import CycloElement
 from .errors import DomainError, ResourceCapError
 from .ofs import divisors, prime_factors, totient
@@ -55,7 +56,6 @@ __all__ = [
 # Largest image n^(d+1) built from arguments alone; criterion 07's (45, 3)
 # has 4.1M entries.
 MAX_IMAGE_ENTRIES = 2**23
-_INT64_SAFE = 2**62
 # "p/q" with q > 0, a subset of what Fraction parses, alone and one a line.
 _RATIO = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
 _RATIOS = re.compile(rf"(?:{_RATIO.pattern}\n)*{_RATIO.pattern}")
@@ -319,56 +319,6 @@ def product_lift(weights_m: FunctionTable, weights_n: FunctionTable) -> Function
 # -- integer kernels ----------------------------------------------------------
 
 
-def _moduli(bound: int, n: int, wmax: int) -> list[int]:
-    """Pairwise coprime odd moduli whose product exceeds 2 * bound, each the
-    largest odd number under the size limit that is coprime to those before.
-    A channel holds residues in [0, q): a partial sum adds at most n of them,
-    and a weight multiply scales one by the weight's symmetric residue, of
-    size at most min(wmax, q/2).  With q * max(n, min(wmax, 2^31)) <= 2^62
-    every value stays below 2^62: past wmax = 2^31, q <= 2^31 and q/2 * q
-    < 2^61."""
-    limit = _INT64_SAFE // max(n, min(wmax, 2**31))
-    moduli, prod, q = [], 1, (limit - 1) | 1
-    while prod <= 2 * bound:
-        if math.gcd(q, prod) == 1:
-            moduli.append(q)
-            prod *= q
-        q -= 2
-    return moduli
-
-
-def _crt(outs: list[list[int]], moduli: list[int]) -> list[int]:
-    """The integers in (-M/2, M/2) with residues `outs` modulo the pairwise
-    coprime odd `moduli`, M their product."""
-    m = math.prod(moduli)
-    half = m // 2
-    acc = itertools.repeat(half)  # shifts [0, M) onto (-M/2, M/2) below
-    for out, q in zip(outs, moduli):
-        basis = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod the others
-        acc = map(operator.add, acc, map(operator.mul, out, itertools.repeat(basis)))
-    return [y % m - half for y in acc]
-
-
-def _exact(kernel: Callable, nums, bound: int, n: int, wmax: int = 1) -> list[int]:
-    """Run kernel(g, q) on int64 arrays of the integers `nums` (a list or an
-    int64 array) and return its output as exact integers.  When `bound` caps
-    every partial sum below _INT64_SAFE, one channel runs on nums as they are,
-    with q = None.  Otherwise one channel runs per modulus q of `_moduli` on
-    nums mod q, the kernel reducing mod q as it goes, and each output, which
-    `bound` also caps, is rebuilt by CRT."""
-    if bound < _INT64_SAFE:
-        return kernel(np.asarray(nums, dtype=np.int64), None).tolist()
-    moduli = _moduli(bound, n, wmax)
-    outs = []
-    for q in moduli:
-        if isinstance(nums, np.ndarray):
-            g = nums % q
-        else:
-            g = np.array([x % q for x in nums], dtype=np.int64)
-        outs.append(kernel(g, q).tolist())
-    return _crt(outs, moduli)
-
-
 def _reduced(g: np.ndarray, q: int | None) -> np.ndarray:
     if q is not None:
         np.remainder(g, q, out=g)
@@ -413,7 +363,7 @@ def forward(f: FunctionTable) -> RadonImage:
         return out.reshape(head, n, -1).swapaxes(1, 2).reshape(-1)  # (h1..hd, c) order
 
     # Each partial sum adds up distinct points of f.
-    return RadonImage(n, d, _exact(sweep, f._nums, sum(map(abs, f._nums)), n), f._den)
+    return RadonImage(n, d, exact(sweep, f._nums, sum(map(abs, f._nums)), n), f._den)
 
 
 def _backprojection(wnums: list[int], n: int, d: int) -> Callable:
@@ -421,7 +371,7 @@ def _backprojection(wnums: list[int], n: int, d: int) -> Callable:
     point order, from an image g in (h1..hd, c) order.  The adjoint sweep:
     `_step` with the opposite sign on d-1 axes, then a gather at residue 0
     on the last.  Mod q it multiplies by each weight's symmetric residue, as
-    `_moduli` assumes."""
+    `channels.moduli` assumes."""
     a = np.arange(n)
 
     def kernel(g: np.ndarray, q: int | None) -> np.ndarray:
@@ -456,7 +406,7 @@ def backproject(img: RadonImage, weights: FunctionTable) -> FunctionTable:
     # Each partial sum takes at most one weighted image entry per hom; the
     # bound also caps every weight, which the kernel holds too.
     bound = sum(map(abs, wnums)) * max(top, 1)
-    raw = _exact(_backprojection(wnums, n, d), image, bound, n, max(map(abs, wnums)))
+    raw = exact(_backprojection(wnums, n, d), image, bound, n, max(map(abs, wnums)))
     return FunctionTable(n, d, raw, img._den * weights._den)
 
 

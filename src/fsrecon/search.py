@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, ResourceCapError
 from .groups import GroupElement, GroupSpec
-from .multisets import DEFAULT_SUBSET_SUMS_CAP, Multiset, extend_subset_sums, sim0_check
+from .multisets import DEFAULT_SUBSET_SUMS_CAP, Multiset, sim0_check, sums_space
 
 __all__ = [
     "ScanReport",
@@ -38,22 +38,24 @@ def _bounded_elements(
     return [group.element(c) for c in itertools.islice(itertools.product(*ranges), limit)]
 
 
-def _walk(group: GroupSpec, candidates: Sequence[GroupElement], length: int,
-          fits: Callable[[dict], bool] | None = None) -> Iterator[tuple[tuple, dict]]:
+def _walk(space, candidates: Sequence[GroupElement], length: int,
+          fits: Callable | None = None) -> Iterator[tuple[tuple, object]]:
     """Depth first over the nondecreasing sequences of candidates of length 0
-    to ``length``, yielding (sequence, subset sums) in lexicographic preorder.
-    Each node extends its parent's sums by one ``extend_subset_sums`` step; a
-    node whose sums fail ``fits`` is skipped together with its subtree.  The
-    stack is explicit, so the depth is not bounded by the recursion limit."""
-    root = {group.zero(): 1}
-    yield (), root
-    stack = [(0, (), root)]  # (next candidate index, sequence, its sums)
+    to ``length``, yielding (sequence, subset sums) in lexicographic preorder,
+    the sums encoded by ``space`` (from ``sums_space``, which should allow
+    ``length + 1`` levels: the walk holds one set of sums per level).  Each
+    node extends its parent's sums by one step; a node whose sums fail
+    ``fits`` is skipped together with its subtree.  The stack is explicit,
+    so the depth is not bounded by the recursion limit."""
+    shifts = [space.shift(a) for a in candidates]
+    yield (), space.start
+    stack = [(0, (), space.start)]  # (next candidate index, sequence, its sums)
     while stack:
         i, seq, sums = stack.pop()
         if i == len(candidates) or len(seq) == length:
             continue
         stack.append((i + 1, seq, sums))
-        nxt = extend_subset_sums(sums, candidates[i])
+        nxt = space.step(sums, shifts[i])
         if fits is None or fits(nxt):
             child = seq + (candidates[i],)
             yield child, nxt
@@ -91,15 +93,15 @@ def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multis
         if bound is None
         or all(mod or -bound <= c <= bound for c, mod in zip(x.coords, group.moduli))
     ]
-    want = dict(target.items())
-
-    def fits(sums: dict[GroupElement, int]) -> bool:
-        return all(c <= want.get(x, 0) for x, c in sums.items())
-
+    # Counts stay at most 2^24, on one plain channel, where <= compares them.
+    space = sums_space(group, m, levels=m + 1)
+    want = space.encode(target)
+    # A full-size node that fits has 2^m counts, none above the target's,
+    # which also total 2^m: its subset sums are the target.
     return _flip_classes([
         Multiset.from_elements(group, seq)
-        for seq, sums in _walk(group, candidates, m, fits)
-        if len(seq) == m and sums == want
+        for seq, _ in _walk(space, candidates, m, lambda sums: space.fits(sums, want))
+        if len(seq) == m
     ])
 
 
@@ -184,19 +186,23 @@ def regularity_scan(
     if budget is not None and budget < 1:
         raise DomainError(f"the scan budget must be at least 1, got {budget}")
     report = ScanReport(group=group, max_size=max_size, bound=bound)
-    buckets: dict[frozenset, list[tuple[GroupElement, ...]]] = {}
+    buckets: dict[object, list[tuple[GroupElement, ...]]] = {}
     # A node that uses candidate j has at least the j singletons of earlier
     # candidates before it, so the first budget + 1 nodes, the last of which
     # ends the scan as non-exhaustive, use only the first budget + 1 candidates.
+    # A node also comes after its ancestors, so none of them is deeper than
+    # budget + 1.
     elements = _bounded_elements(group, bound, None if budget is None else budget + 1)
-    for seq, sums in _walk(group, elements, max_size):
+    deepest = max_size if budget is None else min(max_size, budget + 1)
+    space = sums_space(group, deepest, levels=deepest + 1)
+    for seq, sums in _walk(space, elements, max_size):
         if not seq:
             continue
         if budget is not None and report.checked >= budget:
             report.exhaustive = False
             break
         report.checked += 1
-        buckets.setdefault(frozenset(sums.items()), []).append(seq)
+        buckets.setdefault(space.key(sums), []).append(seq)
     if bound is not None and not group.is_finite():
         report.exhaustive = False
     violations = []

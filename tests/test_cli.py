@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fsrecon import cli
 from fsrecon.cli import main
 from fsrecon.groups import GroupSpec, cyclic
 from fsrecon.multisets import Multiset
@@ -129,6 +131,19 @@ def test_counterexample_exponent_past_subset_sums_cap(capsys, argv, d):
     code, out = run(capsys, "--json", "counterexample", *argv)
     obj = json.loads(out)
     assert code == 0 and obj["d"] == d and obj["verified"] is True
+
+
+def test_counterexample_past_int64_counts_is_fast_and_unchanged(capsys):
+    # d = 63: subset-sum counts reach 2^63, past int64.  The digest pins the
+    # bytes that the earlier {sum: count} map implementation printed, in
+    # 51 s on a 2-CPU Xeon.
+    start = time.perf_counter()
+    code, out = run(capsys, "counterexample", "92737")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and out.startswith("n=92737 d=63 k=3 verified=True\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ddc435fe0213ffaead58df426c63e6f1463ec9241a62ecab824a65ed3177fedb"
+    )
 
 
 def test_radon_forward_invert_files(tmp_path, capsys):
@@ -359,6 +374,19 @@ def test_unreadable_and_unwritable_files_exit_2(tmp_path, capsys, case):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_unexpected_exception_exits_2_not_1(capsys, monkeypatch):
+    # Exit 1 means "verdict false"; an exception no handler names must not
+    # reach it, nor give a traceback.
+    def broken(args):
+        raise RuntimeError("unexpected\nstate")
+
+    monkeypatch.setitem(cli._DISPATCH, "ofs", broken)
+    code = main(["ofs", "test", "15"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: RuntimeError: unexpected state\n"
+
+
 def test_cyclo_commands(capsys):
     code, out = run(capsys, "--json", "cyclo", "dist", "15")
     assert code == 0 and json.loads(out)["pass"] is True
@@ -441,6 +469,34 @@ def test_search_scan_budget_bounds_the_box(capsys):
     assert time.perf_counter() - start < 1.0
     obj = json.loads(out)
     assert code == 0 and obj["checked"] == 5 and obj["exhaustive"] is False
+
+
+def test_search_scan_budget_bounds_the_depth(capsys):
+    # Size 10^6 would need counts up to 2^1000000; five nodes reach depth 5.
+    start = time.perf_counter()
+    code, out = run(
+        capsys, "--json", "search", "scan", "--group", '{"moduli":[]}',
+        "--max-size", "1000000", "--budget", "5",
+    )
+    assert time.perf_counter() - start < 1.0
+    obj = json.loads(out)
+    assert code == 0 and obj["checked"] == 5 and obj["exhaustive"] is False
+
+
+@pytest.mark.parametrize("moduli, max_size, code, head, digest", [
+    # Counts reach 2^70 and 2^66: a key that wrapped at int64 would merge
+    # buckets and report false violations.  The digests pin the bytes that
+    # the earlier {sum: count} map implementation printed.
+    ("[1]", "70", 0, "group Z/1, sizes <= 70, checked 70, exhaustive=True\nviolations: 0\n",
+     "04d69262f85341b7127672948cc4ff501945564cf8cab446463b6d8efcaceb4a"),
+    ("[2]", "66", 1, "group Z/2, sizes <= 66, checked 2277, exhaustive=True\nviolations: 47905\n",
+     "52f28d845801513f90ce01b5a1642ddea008424ab342fffd31e4efff65143e5f"),
+])
+def test_search_scan_counts_past_int64(capsys, moduli, max_size, code, head, digest):
+    got, out = run(capsys, "search", "scan", "--group", f'{{"moduli":{moduli}}}',
+                   "--max-size", max_size)
+    assert got == code and out.startswith(head)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_invert_fs_rejects_negative_bound(tmp_path, capsys):

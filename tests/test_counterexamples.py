@@ -53,7 +53,8 @@ def test_build_refuses_more_distinct_sums_than_the_cap(monkeypatch):
     # n = 2^31 - 1 has d = 31, so verification would hold 2^31 distinct sums;
     # n = 2^24 - 1 has d = 24 and would hold 2^24 - 1, past MAX_DISTINCT_SUMS.
     # Stub the sums, so that a missing guard fails here instead of filling memory.
-    monkeypatch.setattr(Multiset, "subset_sums", lambda *a, **k: pytest.fail("sums built"))
+    for name in ("subset_sums", "same_subset_sums"):
+        monkeypatch.setattr(Multiset, name, lambda *a, **k: pytest.fail("sums built"))
     for n in (2**31 - 1, 16777215):
         with pytest.raises(ResourceCapError):
             build(n)

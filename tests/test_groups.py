@@ -73,6 +73,7 @@ def test_elements_are_canonical_however_built():
         assert 0 <= x.coords[0] < 6 and x.coords[1] == c[1] and x.coords[2] == 0
         y = g.element(d)
         assert x + y == g.element([a + b for a, b in zip(c, d)])
+        assert hash(x + y) == hash(g.element([a + b for a, b in zip(c, d)]))
         assert -x == g.element([-a for a in c])
         assert k * x == g.element([k * a for a in c])
     for coords in ((1, 2), (1, 2, 3, 4)):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 
@@ -67,6 +68,34 @@ def test_subset_sums_cardinality_and_oracle():
         fs = a.subset_sums()
         assert fs.cardinality == 2**size
         assert fs == fs_bruteforce(a)
+
+
+@pytest.mark.parametrize("moduli", [(2, 3, 4), (4, 4), (1,), (6,), (), (3, 0), (2**21,)])
+def test_subset_sums_match_bruteforce_oracle(moduli):
+    # Finite groups of every shape, a group with a Z factor and one past
+    # MAX_DISTINCT_SUMS elements; repeated elements in most draws.
+    group = GroupSpec(moduli)
+    rng = random.Random(sum(moduli) + len(moduli))
+    for _ in range(40):
+        pool = [[rng.randrange(m) if m else rng.randint(-4, 4) for m in moduli]
+                for _ in range(rng.randint(1, 4))]
+        a = Multiset.from_elements(group, (rng.choice(pool) for _ in range(rng.randint(0, 9))))
+        fs = a.subset_sums()
+        assert fs == fs_bruteforce(a)
+        b = Multiset.from_elements(group, (rng.choice(pool) for _ in range(a.cardinality)))
+        assert a.same_subset_sums(b) == (fs == fs_bruteforce(b))
+
+
+def test_subset_sums_past_int64_counts():
+    # 64 zeros put every one of the 2^64 subsets on one sum; 70 copies of
+    # 1 over Z/3 give counts near 2^70 / 3.
+    z = GroupSpec((1,))
+    assert Multiset(z, {z.zero(): 64}).subset_sums(cap=64) == Multiset(z, {z.zero(): 2**64})
+    a = Multiset(Z3, {Z3.element((1,)): 70})
+    counts = [sum(math.comb(70, i) for i in range(r, 71, 3)) for r in range(3)]
+    assert a.subset_sums(cap=70) == Multiset(Z3, {Z3.element((r,)): c for r, c in enumerate(counts)})
+    assert not a.same_subset_sums(Multiset(Z3, {Z3.element((2,)): 70}), cap=70)
+    assert a.same_subset_sums(Multiset(Z3, {Z3.element((1,)): 70}), cap=70)
 
 
 def test_subset_sums_recursion():
