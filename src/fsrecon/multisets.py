@@ -3,8 +3,8 @@ sign-flip equivalences that subset sums cannot distinguish.
 
 The subset sums of A are the group-ring element prod_{a in A} (1 + t^a), and
 adding m copies of a multiplies by (1 + t^a)^m.  ``subset_sums``, the search
-module's walk and criterion 11 run that step through ``sums_space``, which
-picks one of two encodings by one predicate, ``_dense``:
+module's walk and criterion 11 run that step through ``sums_space``, whose
+one predicate picks one of two encodings:
 
 * over a finite group where the walk's count vectors fit in
   MAX_DISTINCT_SUMS counts, the sums are an int64 vector indexed by each
@@ -69,18 +69,10 @@ def extend_subset_sums(sums: Mapping[GroupElement, int], a: GroupElement, m: int
     return out
 
 
-def _dense(group: GroupSpec, levels: int) -> bool:
-    """Whether sums over `group` are count vectors: the group is finite and
-    `levels` vectors of its size, one per level a walk holds at once, fit in
-    MAX_DISTINCT_SUMS counts."""
-    return group.is_finite() and levels * group.size() <= MAX_DISTINCT_SUMS
-
-
 class _MapSums:
     """Sums as {GroupElement: count} maps, extended by extend_subset_sums."""
 
     def __init__(self, group: GroupSpec):
-        self.group = group
         self.start = {group.zero(): 1}
 
     def shift(self, a: GroupElement) -> GroupElement:
@@ -155,8 +147,12 @@ class _VectorSums:
 
 def sums_space(group: GroupSpec, size: int, levels: int = 1) -> _MapSums | _VectorSums:
     """The encoding of the subset sums of multisets of at most `size`
-    elements over `group`, for a caller that holds `levels` of them at once."""
-    return _VectorSums(group, size) if _dense(group, levels) else _MapSums(group)
+    elements over `group`, for a caller that holds `levels` of them at once:
+    count vectors when the group is finite and `levels` vectors of its size
+    fit in MAX_DISTINCT_SUMS counts, and maps everywhere else."""
+    if group.is_finite() and levels * group.size() <= MAX_DISTINCT_SUMS:
+        return _VectorSums(group, size)
+    return _MapSums(group)
 
 
 def _coerce(group: GroupSpec, value) -> GroupElement:
