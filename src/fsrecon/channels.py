@@ -4,8 +4,7 @@ A kernel whose every partial sum stays below INT64_SAFE runs once on the
 integers as they are.  Past that bound it runs once per modulus of a set of
 pairwise coprime odd moduli whose product exceeds twice the bound, reducing
 as it goes, and a CRT rebuild recovers each integer as its symmetric
-representative.  The Radon kernels and the subset-sums count vectors use
-these channels.
+representative.  The Radon kernels run on these channels.
 """
 from __future__ import annotations
 

@@ -406,7 +406,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a case missed above is an error, never the verdict 1
-        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
         return 2
 
 

@@ -6,18 +6,19 @@ adding m copies of a multiplies by (1 + t^a)^m.  ``subset_sums``, the search
 module's walk and criterion 11 run that step through ``sums_space``, whose
 one predicate picks one of two encodings:
 
-* over a finite group where the walk's count vectors fit in
-  MAX_DISTINCT_SUMS counts, the sums are an int64 vector indexed by each
-  element's mixed-radix position (lexicographic coordinate order), and one
-  step is v + v[shifted by a], once per copy;
+* over a finite group of at most 2^(s + 1) elements, s the largest size
+  summed, so that the 2^s sums could fill half of it, and small enough that
+  the walk's count vectors fit in MAX_DISTINCT_SUMS counts, the sums are a
+  vector indexed by each element's mixed-radix position
+  (lexicographic coordinate order), and one step is v + v[shifted by a],
+  once per copy;
 * over a group with a Z factor (sparse sums such as those of {1, 10^9}
   would need a window of width 2 * 10^9) or a larger finite group, they
   are a {GroupElement: count} map, extended by ``extend_subset_sums``.
 
-Counts are at most 2^|A|.  Below 2^62 one plain int64 channel holds them
-exactly; past it the vector runs on the residue channels of
-``fsrecon.channels``, the step reducing mod each modulus, and counts are
-rebuilt by CRT.  ``GroupElement``s are built only when sums leave the space.
+Counts are at most 2^|A|.  While 2^|A| < 2^63 the vector is int64; past it,
+it holds exact Python integers (dtype object).  ``GroupElement``s are built
+only when sums leave the space.
 
 ``sim_check`` decides whether A' arises from A by negating some subset
 (equivalent to matching counts on every pair class {x, -x}), and
@@ -34,8 +35,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import channels
-from .channels import INT64_SAFE
 from .errors import DomainError, GroupMismatchError, ResourceCapError
 from .groups import GroupElement, GroupSpec
 
@@ -95,51 +94,50 @@ class _MapSums:
 
 
 class _VectorSums:
-    """Sums as int64 arrays of shape (channels, *moduli): counts of at most
-    `size`-element multisets, one channel while 2^size < INT64_SAFE and
-    otherwise one per residue modulus, each holding values below 2^61."""
+    """Sums as count vectors of shape `group.moduli`, in mixed-radix
+    (lexicographic coordinate) order.  Counts of at most `size`-element
+    multisets are at most 2^size: int64 holds them below 2^63, and past it
+    the vector holds exact Python integers (dtype object)."""
 
     def __init__(self, group: GroupSpec, size: int):
         mods = group.moduli
         self.group = group
-        self.moduli = [] if 2**size < INT64_SAFE else channels.moduli(2**size, 2, 1)
-        self.q = np.array(self.moduli, dtype=np.int64).reshape(-1, *[1] * len(mods))
-        self.start = np.zeros((max(len(self.moduli), 1), *mods), dtype=np.int64)
-        self.start.reshape(len(self.start), -1)[:, 0] = 1
+        # A group with no factors still holds its one count in an axis.
+        self.start = np.zeros(mods or (1,), dtype=np.int64 if size < 63 else object)
+        self.start.reshape(-1)[0] = 1
         self._strides = [math.prod(mods[i + 1:]) for i in range(len(mods))]
         self._wrap = [np.arange(2 * m) % m for m in mods]
 
     def shift(self, a: GroupElement) -> tuple:
         """The index that gathers v[z - a] at every z."""
-        return (slice(None), *np.ix_(*[
+        return np.ix_(*[
             w[m - c : 2 * m - c] for w, m, c in zip(self._wrap, self.group.moduli, a.coords)
-        ]))
+        ])
 
     def step(self, v: np.ndarray, shift: tuple, m: int = 1) -> np.ndarray:
         for _ in range(m):
             v = v + v[shift]
-            if self.moduli:  # both terms were below q
-                np.subtract(v, self.q, out=v, where=v >= self.q)
         return v
 
-    def key(self, v: np.ndarray) -> bytes:
-        return v.tobytes()
+    def key(self, v: np.ndarray) -> tuple:
+        """The nonzero positions and their counts: as long as the number of
+        distinct sums, not the size of the group."""
+        flat = v.reshape(-1)
+        where = np.flatnonzero(flat)
+        return where.tobytes(), tuple(flat[where].tolist())
 
     def encode(self, ms: Multiset) -> np.ndarray:
-        """The counts of `ms` on the one plain channel."""
         v = np.zeros_like(self.start)
         for x, c in ms.items():
             v.reshape(-1)[sum(map(operator.mul, x.coords, self._strides))] = c
         return v
 
     def counts(self, v: np.ndarray) -> dict:
-        flat = v.reshape(len(v), -1)
-        where = np.flatnonzero(flat.any(axis=0))
-        rows = flat[:, where].tolist()
-        values = channels.crt(rows, self.moduli) if self.moduli else rows[0]
+        flat = v.reshape(-1)
+        where = np.flatnonzero(flat)
         strides, mods = (np.array(t, dtype=np.int64) for t in (self._strides, self.group.moduli))
         coords = (where[:, None] // strides % mods).tolist()
-        return {GroupElement(c, self.group): n for c, n in zip(coords, values)}
+        return {GroupElement(c, self.group): n for c, n in zip(coords, flat[where].tolist())}
 
     def fits(self, v: np.ndarray, want: np.ndarray) -> bool:
         return bool((v <= want).all())
@@ -147,10 +145,16 @@ class _VectorSums:
 
 def sums_space(group: GroupSpec, size: int, levels: int = 1) -> _MapSums | _VectorSums:
     """The encoding of the subset sums of multisets of at most `size`
-    elements over `group`, for a caller that holds `levels` of them at once:
-    count vectors when the group is finite and `levels` vectors of its size
-    fit in MAX_DISTINCT_SUMS counts, and maps everywhere else."""
-    if group.is_finite() and levels * group.size() <= MAX_DISTINCT_SUMS:
+    elements over `group`, for a caller that holds `levels` of them at once.
+    Count vectors when the group is finite, `levels` vectors of its size fit
+    in MAX_DISTINCT_SUMS counts, and the group has at most 2^(size + 1)
+    elements, so that the 2^size subset sums of a largest multiset could
+    fill half of it; a step costs the size of the group there, not much
+    more than the number of sums.  Maps everywhere else: their step costs
+    the number of distinct sums, which a sparse multiset keeps far below
+    the size of the group."""
+    if (group.is_finite() and levels * group.size() <= MAX_DISTINCT_SUMS
+            and group.size() <= 2 ** (size + 1)):
         return _VectorSums(group, size)
     return _MapSums(group)
 
@@ -272,7 +276,7 @@ class Multiset:
         room = self.group.size() if self.group.is_finite() else math.inf
         acc = space.start
         for a, m in self.items():
-            reach = min(len(acc) * (m + 1), room) if isinstance(acc, dict) else 0
+            reach = min(len(acc) * (m + 1), room)
             if reach > MAX_DISTINCT_SUMS:
                 raise ResourceCapError(
                     f"subset sums could reach {reach} distinct values, "

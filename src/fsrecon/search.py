@@ -31,10 +31,12 @@ def _bounded_elements(
     group: GroupSpec, bound: int | None, limit: int | None = None
 ) -> list[GroupElement]:
     """The group's elements, or its box [-bound, bound] on Z factors, in
-    coordinate order; only the first `limit` of them when one is given."""
+    coordinate order; only the first `limit` of them when one is given.
+    Those use only the first `limit` values of each coordinate, and
+    itertools.product copies each range it is given, so it gets no more."""
     if bound is None and not group.is_finite():
         raise DomainError("an infinite factor needs a coordinate bound to enumerate")
-    ranges = [range(m) if m else range(-bound, bound + 1) for m in group.moduli]
+    ranges = [(range(m) if m else range(-bound, bound + 1))[:limit] for m in group.moduli]
     return [group.element(c) for c in itertools.islice(itertools.product(*ranges), limit)]
 
 
@@ -93,7 +95,6 @@ def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multis
         if bound is None
         or all(mod or -bound <= c <= bound for c, mod in zip(x.coords, group.moduli))
     ]
-    # Counts stay at most 2^24, on one plain channel, where <= compares them.
     space = sums_space(group, m, levels=m + 1)
     want = space.encode(target)
     # A full-size node that fits has 2^m counts, none above the target's,
@@ -190,11 +191,8 @@ def regularity_scan(
     # A node that uses candidate j has at least the j singletons of earlier
     # candidates before it, so the first budget + 1 nodes, the last of which
     # ends the scan as non-exhaustive, use only the first budget + 1 candidates.
-    # A node also comes after its ancestors, so none of them is deeper than
-    # budget + 1.
     elements = _bounded_elements(group, bound, None if budget is None else budget + 1)
-    deepest = max_size if budget is None else min(max_size, budget + 1)
-    space = sums_space(group, deepest, levels=deepest + 1)
+    space = sums_space(group, max_size, levels=max_size + 1)
     for seq, sums in _walk(space, elements, max_size):
         if not seq:
             continue

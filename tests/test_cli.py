@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -384,7 +385,7 @@ def test_unexpected_exception_exits_2_not_1(capsys, monkeypatch):
     code = main(["ofs", "test", "15"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: RuntimeError: unexpected state\n"
+    assert captured.err == "internal error: RuntimeError: unexpected state\n"
 
 
 def test_cyclo_commands(capsys):
@@ -481,6 +482,25 @@ def test_search_scan_budget_bounds_the_depth(capsys):
     assert time.perf_counter() - start < 1.0
     obj = json.loads(out)
     assert code == 0 and obj["checked"] == 5 and obj["exhaustive"] is False
+
+
+def test_search_scan_of_a_large_group_stays_small(capsys):
+    # A size-1 multiset has 2 subset sums; holding the scan's nodes must not
+    # cost the 2^19 counts of the group per node.
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out = run(
+            capsys, "--json", "search", "scan", "--group", '{"moduli":[524288]}',
+            "--max-size", "1", "--budget", "20",
+        )
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    obj = json.loads(out)
+    assert code == 0 and obj["checked"] == 20 and obj["violations"] == []
+    assert elapsed < 1.0 and peak < 2**20
 
 
 @pytest.mark.parametrize("moduli, max_size, code, head, digest", [
