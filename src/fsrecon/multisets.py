@@ -145,14 +145,11 @@ class _VectorSums:
 
 def sums_space(group: GroupSpec, size: int, levels: int = 1) -> _MapSums | _VectorSums:
     """The encoding of the subset sums of multisets of at most `size`
-    elements over `group`, for a caller that holds `levels` of them at once.
-    Count vectors when the group is finite, `levels` vectors of its size fit
-    in MAX_DISTINCT_SUMS counts, and the group has at most 2^(size + 1)
-    elements, so that the 2^size subset sums of a largest multiset could
-    fill half of it; a step costs the size of the group there, not much
-    more than the number of sums.  Maps everywhere else: their step costs
-    the number of distinct sums, which a sparse multiset keeps far below
-    the size of the group."""
+    elements over `group`, for a caller that holds `levels` of them at once:
+    count vectors, whose step costs the size of the group, when it is
+    finite, `levels` vectors fit in MAX_DISTINCT_SUMS counts and it has at
+    most 2^(size + 1) elements, which the 2^size sums could fill half of;
+    maps, whose step costs the number of distinct sums, everywhere else."""
     if (group.is_finite() and levels * group.size() <= MAX_DISTINCT_SUMS
             and group.size() <= 2 ** (size + 1)):
         return _VectorSums(group, size)
