@@ -4,10 +4,14 @@ underpin subset-sums reconstruction over odd cyclic groups.
 Elements are residues modulo the n-th cyclotomic polynomial, so equality of
 canonical coefficient vectors is equality in the field (reducing mod t^n - 1
 instead would introduce zero divisors).  The units of interest are 1 + w^j
-for a primitive n-th root of unity w; a "unit word" is a formal integer
-exponent vector on those generators, evaluated as the pair of products over
-its positive and its negated negative exponents (no inverses are computed
-in the ring; the word is 1 when the two products are equal).
+for a primitive d-th root of unity w; a "unit word" is a formal integer
+exponent vector e on those generators.  Its positive part is a multiset over
+Z/d with e_j copies of j, and the product of (1 + t^j)^e_j modulo t^d - 1 is
+that multiset's subset-sums count vector.  Since the d-th cyclotomic
+polynomial divides t^d - 1, reducing the count vector once mod it gives the
+product in the field.  A word is evaluated as the pair of reduced count
+vectors of its positive and its negated negative part (no inverses are
+computed in the ring; the word is 1 when the two are equal).
 
 The rank checks at the bottom certify, for odd n:
 
@@ -49,10 +53,15 @@ __all__ = [
 
 # Largest n the rank certificates accept, the largest n whose distribution
 # relations are checked (checking them all takes on the order of n^3 steps),
-# and the working precision and singular-value cutoff of the numeric
-# unit-rank check.
+# the largest n kernel_test accepts (its cyclotomic polynomials and
+# reductions take on the order of n^2 steps), the bound on d*m^2 for one
+# product of m unit factors over conductor d (m passes of adds over d counts
+# of up to m bits), and the working precision and singular-value cutoff of
+# the numeric unit-rank check.
 RANK_CAP = 45
 DISTRIBUTION_CAP = 255
+KERNEL_TEST_CAP = 4095
+UNIT_WORD_CAP = 2**32
 RANK_PRECISION_BITS = 100
 RANK_TOLERANCE = 1e-8
 
@@ -70,32 +79,20 @@ def _poly_mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def _poly_div_exact(num: Sequence, den: Sequence) -> tuple:
-    """Exact division of integer polynomials with monic divisor."""
-    num = list(num)
+def _poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of integer polynomials by a monic divisor,
+    by long division over the divisor's nonzero terms."""
+    rem = list(num)
     dd = len(den) - 1
-    assert den[-1] == 1, "divisor must be monic"
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        q = num[i]
+    terms = [(j, c) for j, c in enumerate(den[:dd]) if c]
+    quot = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        q = rem[i]
         if q:
             quot[i - dd] = q
-            for j, c in enumerate(den):
-                num[i - dd + j] -= q * c
-    if any(num):
-        raise ArithmeticError("division was not exact")
-    return tuple(quot)
-
-
-def _poly_mod(coeffs: list, mod: Sequence) -> list:
-    dd = len(mod) - 1
-    for i in range(len(coeffs) - 1, dd - 1, -1):
-        q = coeffs[i]
-        if q:
-            coeffs[i] = 0
-            for j in range(dd):
-                coeffs[i - dd + j] -= q * mod[j]
-    return coeffs[:dd]
+            for j, c in terms:
+                rem[i - dd + j] -= q * c
+    return quot, rem[:dd]
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +108,10 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     den: list = [1]
     for d in divisors(n)[:-1]:
         den = _poly_mul(den, cyclotomic_poly(d))
-    return _poly_div_exact(num, den)
+    quot, rem = _poly_divmod(num, den)
+    if any(rem):
+        raise ArithmeticError("division was not exact")
+    return tuple(quot)
 
 
 class CycloElement:
@@ -127,48 +127,13 @@ class CycloElement:
     @classmethod
     def from_poly(cls, n: int, coeffs: Sequence) -> CycloElement:
         deg = totient(n)
-        reduced = _poly_mod(list(coeffs), cyclotomic_poly(n))
+        reduced = _poly_divmod(coeffs, cyclotomic_poly(n))[1]
         reduced += [0] * (deg - len(reduced))
         return cls(n, tuple(reduced))
 
     @classmethod
     def rational(cls, n: int, value) -> CycloElement:
         return cls.from_poly(n, [value])
-
-    @classmethod
-    def one_plus_root(cls, n: int, j: int) -> CycloElement:
-        j %= n
-        coeffs = [0] * (j + 1)
-        coeffs[0] += 1
-        coeffs[j] += 1
-        return cls.from_poly(n, coeffs)
-
-    def _check(self, other: CycloElement) -> None:
-        if self.n != other.n:
-            raise DomainError(f"mixing conductors {self.n} and {other.n}")
-
-    def __add__(self, other: CycloElement) -> CycloElement:
-        self._check(other)
-        return CycloElement(
-            self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other: CycloElement) -> CycloElement:
-        self._check(other)
-        return CycloElement.from_poly(self.n, _poly_mul(self.coeffs, other.coeffs))
-
-    def __pow__(self, e: int) -> CycloElement:
-        if e < 0:
-            raise DomainError(f"negative exponent {e}: ring elements are not inverted")
-        result = CycloElement.rational(self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloElement):
@@ -177,9 +142,6 @@ class CycloElement:
 
     def __repr__(self) -> str:
         return f"CycloElement({self.n}, {self.coeffs})"
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -190,13 +152,21 @@ class CycloElement:
         return Fraction(self.coeffs[0])
 
 
-def _unit_product(d: int, exponents: Sequence[int]) -> CycloElement:
-    """The product of (1 + w_d^j)^e_j over the positive exponents e_j."""
-    acc = CycloElement.rational(d, 1)
+def _counts(d: int, exponents: Sequence[int]) -> list:
+    """The coefficients of the product of (1 + t^j)^e_j over the positive
+    e_j, modulo t^d - 1: the subset-sums count vector over Z/d of the
+    multiset with e_j copies of j.  Each factor is one pass of adds."""
+    mass = sum(e for e in exponents if e > 0)
+    if d * mass * mass > UNIT_WORD_CAP:
+        raise ResourceCapError(
+            f"unit word of conductor {d} and exponent mass {mass} is past"
+            f" d*mass^2 <= {UNIT_WORD_CAP}"
+        )
+    v = [1] + [0] * (d - 1)
     for j, e in enumerate(exponents):
-        if e > 0:
-            acc = acc * CycloElement.one_plus_root(d, j) ** e
-    return acc
+        for _ in range(e):
+            v = [v[i] + v[i - j] for i in range(d)]
+    return v
 
 
 def unit_word_eval(d: int, exponents: Sequence[int]) -> tuple[CycloElement, CycloElement]:
@@ -207,7 +177,8 @@ def unit_word_eval(d: int, exponents: Sequence[int]) -> tuple[CycloElement, Cycl
         raise DomainError(f"conductor must be odd (1 + w^(d/2) vanishes), got {d}")
     if len(exponents) != d:
         raise DomainError(f"expected {d} exponents, got {len(exponents)}")
-    return _unit_product(d, exponents), _unit_product(d, [-e for e in exponents])
+    numerator, denominator = _counts(d, exponents), _counts(d, [-e for e in exponents])
+    return CycloElement.from_poly(d, numerator), CycloElement.from_poly(d, denominator)
 
 
 def verify_distribution(n: int, p: int, j: int) -> bool:
@@ -262,14 +233,18 @@ def kernel_test(n: int, x: Sequence[int]) -> bool:
     """
     if n % 2 == 0:
         raise DomainError(f"n must be odd, got {n}")
+    if n > KERNEL_TEST_CAP:
+        raise ResourceCapError(f"kernel test capped at n = {KERNEL_TEST_CAP}")
     words = (unit_word_eval(d, fold_exponents(n, d, x)) for d in divisors(n))
     return all(numerator == denominator for numerator, denominator in words)
 
 
 def unit_signature(ms) -> tuple:
     """Canonical per-divisor product of the generators raised to the
-    multiplicities of a multiset over odd Z/n.  Two multisets have equal
-    signatures iff kernel_test accepts their multiplicity difference."""
+    multiplicities of a multiset over odd Z/n: for each d | n, the subset
+    sums of the multiset folded into Z/d, reduced mod the d-th cyclotomic
+    polynomial.  Two multisets have equal signatures iff kernel_test accepts
+    their multiplicity difference."""
     moduli = ms.group.moduli
     if len(moduli) != 1 or moduli[0] < 1 or moduli[0] % 2 == 0:
         raise DomainError("unit signatures need a multiset over odd Z/n")
@@ -278,7 +253,8 @@ def unit_signature(ms) -> tuple:
     for x, m in ms.items():
         mu[x.coords[0]] = m
     return tuple(
-        (d, _unit_product(d, fold_exponents(n, d, mu)).coeffs) for d in divisors(n)
+        (d, CycloElement.from_poly(d, _counts(d, fold_exponents(n, d, mu))).coeffs)
+        for d in divisors(n)
     )
 
 

@@ -312,13 +312,22 @@ class Multiset:
             raise DomainError("a multiset must be a JSON object with keys group and elements")
         group = GroupSpec.from_obj(obj.get("group", {}))
         rows = obj.get("elements", [])
-        if type(rows) is not list or not all(
-            type(row) is list and len(row) == 2 and type(row[0]) is list and type(row[1]) is int
-            and all(type(c) is int for c in row[0])
-            for row in rows
-        ):
+        if type(rows) is not list:
             raise DomainError("elements must be a list of [[integer coordinates], integer count]")
-        return cls(group, [(group.element(coords), m) for coords, m in rows])
+        pairs = []
+        for k, row in enumerate(rows):
+            try:
+                if not (
+                    type(row) is list and len(row) == 2 and type(row[0]) is list
+                    and type(row[1]) is int and all(type(c) is int for c in row[0])
+                ):
+                    raise DomainError("expected [[integer coordinates], integer count]")
+                if row[1] < 0:
+                    raise DomainError(f"negative multiplicity {row[1]}")
+                pairs.append((group.element(row[0]), row[1]))
+            except DomainError as exc:
+                raise DomainError(f"elements[{k}]: {exc}") from None
+        return cls(group, pairs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), separators=(",", ":"))

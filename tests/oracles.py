@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from fsrecon.cyclo import CycloElement
+from fsrecon.cyclo import CycloElement, cyclotomic_poly
 from fsrecon.groups import GroupElement, GroupSpec
 from fsrecon.multisets import Multiset
 from fsrecon.radon import RadonImage
@@ -186,3 +186,40 @@ def root_power(n: int, j: int) -> CycloElement:
     """w^j for the primitive n-th root of unity w, from the polynomial x^j
     with j reduced mod n, since w^n = 1."""
     return CycloElement.from_poly(n, [0] * (j % n) + [1])
+
+
+def field_mul_oracle(a: CycloElement, b: CycloElement) -> CycloElement:
+    """a * b in the n-th cyclotomic field: the schoolbook product of the
+    coefficient lists, reduced by long division by the n-th cyclotomic
+    polynomial, one leading term at a time."""
+    phi = cyclotomic_poly(a.n)
+    deg = len(phi) - 1
+    prod = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    for top in range(len(prod) - 1, deg - 1, -1):
+        q = prod[top]
+        for k, c in enumerate(phi):
+            prod[top - deg + k] -= q * c
+    return CycloElement(a.n, tuple(prod[:deg]))
+
+
+def unit_word_oracle(d: int, e) -> tuple[CycloElement, CycloElement]:
+    """The unit word with exponents e over conductor d as the pair
+    (numerator, denominator): one factor 1 + w^j per copy of j in the
+    positive part and in the negated negative part, multiplied in one at a
+    time by field_mul_oracle."""
+    deg = len(cyclotomic_poly(d)) - 1
+
+    def product(exponents):
+        acc = CycloElement(d, (1,) + (0,) * (deg - 1))
+        for j, k in enumerate(exponents):
+            factor = CycloElement(d, tuple(
+                (i == 0) + (i == j % d) for i in range(max(deg, j % d + 1))
+            ))
+            for _ in range(k):
+                acc = field_mul_oracle(acc, factor)
+        return acc
+
+    return product(e), product([-x for x in e])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -7,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from fsrecon import cli
+from fsrecon import cli, cyclo
 from fsrecon.cli import main
 from fsrecon.groups import GroupSpec, cyclic
 from fsrecon.multisets import Multiset
+from fsrecon.ofs import prime_factors
 from fsrecon.radon import FunctionTable, RadonImage, forward, random_table
 from fsrecon.search import ScanReport
 
@@ -346,6 +348,19 @@ def test_deeply_nested_group_exits_2(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "row", [[[1, 2], 1], [[1], -1], [[1], 1.5], [["1"], 1], [[1], 1, 1], "[[1],1]"]
+)
+def test_malformed_multiset_rows_are_named_by_their_json_path(tmp_path, capsys, row):
+    rows = [[[0], 1], [[1], 2], [[2], 1], row, [[4], 1]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"group": {"moduli": [5]}, "elements": rows}))
+    code = main(["fs", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: elements[3]: ") and captured.err.count("\n") == 1
+
+
 def test_malformed_rows_are_named_by_their_json_path(tmp_path, capsys):
     table = json.loads(random_table(48, 1, random.Random(3)).to_json())
     table["values"][17][0] = [1.5]
@@ -405,6 +420,61 @@ def test_cyclo_ranks_cap(capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("resource error: ") and captured.err.count("\n") == 1
+
+
+def refused_in_under_a_second(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and elapsed < 1.0
+    assert captured.err.startswith("resource error: ") and captured.err.count("\n") == 1
+
+
+def test_cyclo_kernel_test_stops_at_the_unit_word_cap(capsys):
+    # Over conductor 1 the one word is 2^m, which costs m doublings of up to
+    # m bits; the cap bounds d * m^2.
+    top = math.isqrt(cyclo.UNIT_WORD_CAP)
+    code, out = run(capsys, "cyclo", "kernel-test", "1", f"--vector={top}")
+    assert code == 1 and out == "kernel test for n=1: False\n"
+    refused_in_under_a_second(capsys, ["cyclo", "kernel-test", "1", f"--vector={top + 1}"])
+    refused_in_under_a_second(capsys, ["cyclo", "kernel-test", "3", "--vector=0,10000000000000,0"])
+    # Over conductor 3 the folded sum is 0 and the word (1 + w)^m / (1 + w^2)^m.
+    top = math.isqrt(cyclo.UNIT_WORD_CAP // 3)
+    code, out = run(capsys, "cyclo", "kernel-test", "3", f"--vector=0,{top},{-top}")
+    assert code == 1 and out == "kernel test for n=3: False\n"
+    refused_in_under_a_second(
+        capsys, ["cyclo", "kernel-test", "3", f"--vector=0,{top + 1},{-top - 1}"]
+    )
+
+
+def test_cyclo_kernel_test_stops_at_the_conductor_cap(capsys):
+    n = cyclo.KERNEL_TEST_CAP
+    vector = ",".join(map(str, cyclo.sim0_lattice_basis(n)[1]))
+    code, out = run(capsys, "cyclo", "kernel-test", str(n), f"--vector={vector}")
+    assert code == 0 and out == f"kernel test for n={n}: True\n"
+    vector = ",".join(map(str, cyclo.sim0_lattice_basis(n + 2)[1]))
+    refused_in_under_a_second(capsys, ["cyclo", "kernel-test", str(n + 2), f"--vector={vector}"])
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (251, "3ae240f43be1a89244e0a7c082b53710be2dd35692b0eba238193103e068127f"),
+        (255, "6c3e47680b10e2721f26dddbbdba92641832b9555aac08c2d21d93c47f33dc01"),
+    ],
+)
+def test_cyclo_dist_prints_pinned_bytes(capsys, n, digest):
+    code, out = run(capsys, "--json", "cyclo", "dist", str(n))
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_distribution_relations_of_251_are_fast():
+    start = time.perf_counter()
+    assert all(
+        cyclo.verify_distribution(251, p, j) for p in prime_factors(251) for j in range(251 // p)
+    )
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import root_power
+from oracles import field_mul_oracle, root_power, unit_word_oracle
 
 from fsrecon.cyclo import (
     CycloElement,
@@ -65,8 +65,9 @@ def test_cyclotomic_degree_is_totient():
 def test_root_relations():
     w = root_power(3, 1)
     one = CycloElement.rational(3, 1)
-    assert w**3 == one
-    assert one + w + w * w == CycloElement.rational(3, 0)
+    assert field_mul_oracle(field_mul_oracle(w, w), w) == one
+    assert CycloElement.from_poly(3, [0, 0, 0, 1]) == one
+    assert CycloElement.from_poly(3, [1, 1, 1]) == CycloElement.rational(3, 0)
 
 
 def test_minimal_polynomial_kills_root():
@@ -74,18 +75,25 @@ def test_minimal_polynomial_kills_root():
         w = root_power(n, 1)
         acc = CycloElement.rational(n, 0)
         for c in reversed(cyclotomic_poly(n)):
-            acc = acc * w + CycloElement.rational(n, c)
-        assert acc.is_zero(), n
+            acc = field_mul_oracle(acc, w)
+            acc = CycloElement(n, (acc.coeffs[0] + c,) + acc.coeffs[1:])
+        assert acc == CycloElement.rational(n, 0), n
+        assert CycloElement.from_poly(n, cyclotomic_poly(n)) == acc, n
 
 
 def test_power_matches_repeated_multiplication():
     for n in (1, 3, 9, 15):
         for j in range(n):
-            x = CycloElement.one_plus_root(n, j)
+            coeffs = [0] * (j + 1)
+            coeffs[0] += 1
+            coeffs[j] += 1
+            x = CycloElement.from_poly(n, coeffs)  # 1 + w^j
             acc = CycloElement.rational(n, 1)
             for e in range(10):
-                assert x**e == acc, (n, j, e)
-                acc = acc * x
+                word = [0] * n
+                word[j] = e
+                assert unit_word_eval(n, word) == (acc, CycloElement.rational(n, 1)), (n, j, e)
+                acc = field_mul_oracle(acc, x)
 
 
 def test_rational_detection():
@@ -162,7 +170,9 @@ def test_unit_word_conjugate_generators_cancel():
     assert num == den == CycloElement.rational(3, 1)
     # So the word with one of them inverted is (1 + w)^2, not 1.
     num, den = unit_word_eval(3, (0, 1, -1))
-    assert num == CycloElement.one_plus_root(3, 1) ** 2 * den and num != den
+    generator = CycloElement.from_poly(3, [1, 1])
+    assert num == field_mul_oracle(field_mul_oracle(generator, generator), den)
+    assert num != den
 
 
 def test_unit_word_rejects_even_conductor():
@@ -180,6 +190,72 @@ def test_relation_vectors_in_kernel():
                 assert sum(v) == 1 - p
                 num, den = unit_word_eval(d, v)
                 assert num == den
+
+
+# -- unit words against the factor-by-factor oracle ------------------------------
+
+
+def oracle_fold(x, d):
+    return [sum(x[r::d]) for r in range(d)]
+
+
+def oracle_kernel_test(n, x):
+    return all(
+        num == den for num, den in (unit_word_oracle(d, oracle_fold(x, d)) for d in divisors(n))
+    )
+
+
+def oracle_signature(n, mu):
+    return tuple((d, unit_word_oracle(d, oracle_fold(mu, d))[0].coeffs) for d in divisors(n))
+
+
+def nudged(x, rng):
+    """x with one seeded entry moved by -1 and by +1."""
+    i = rng.randrange(len(x))
+    return [tuple(v + s * (k == i) for k, v in enumerate(x)) for s in (-1, 1)]
+
+
+def assert_matches_oracle(n, x):
+    for d in divisors(n):
+        folded = oracle_fold(x, d)
+        assert unit_word_eval(d, folded) == unit_word_oracle(d, folded), (n, d, x)
+    verdict = kernel_test(n, x)
+    assert verdict == oracle_kernel_test(n, x), (n, x)
+    group = cyclic(n)
+    for part in ([max(v, 0) for v in x], [max(-v, 0) for v in x]):
+        ms = Multiset(group, {(j,): m for j, m in enumerate(part)})
+        assert unit_signature(ms) == oracle_signature(n, part), (n, part)
+    return verdict
+
+
+def test_relation_vectors_match_oracle_and_nudges_break_them():
+    rng = random.Random(21)
+    for n in range(1, 46, 2):
+        for p in prime_factors(n):
+            for j in range(n // p):
+                v = distribution_relation_vector(n, p, j)
+                num, den = unit_word_eval(n, v)
+                assert num == den and (num, den) == unit_word_oracle(n, v)
+                assert_matches_oracle(n, v)
+                for w in nudged(v, rng):
+                    num, den = unit_word_eval(n, w)
+                    assert num != den and (num, den) == unit_word_oracle(n, w), (n, w)
+
+
+def test_lattice_bases_match_oracle_and_nudges_are_rejected():
+    rng = random.Random(22)
+    for n in (9, 15, 21, 27, 33, 45):
+        for v in sim0_lattice_basis(n):
+            assert assert_matches_oracle(n, v)
+            for w in nudged(v, rng):
+                assert not assert_matches_oracle(n, w), (n, w)
+
+
+def test_random_words_match_oracle():
+    rng = random.Random(23)
+    for n in (1, 3, 5, 9, 15, 21, 45):
+        for _ in range(8):
+            assert_matches_oracle(n, [rng.randint(-3, 3) for _ in range(n)])
 
 
 # -- the kernel test ---------------------------------------------------------------

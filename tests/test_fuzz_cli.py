@@ -136,8 +136,9 @@ def _command(words, n, extra=st.just([])):
 
 def _kernel_test(n):
     """A vector of length n, of any length up to 22, or text that is no
-    vector at all; its entries are small or up to 10^4 in size."""
-    entry = st.integers(-2, 2) | st.integers(-10**4, 10**4)
+    vector at all; its entries are small, up to 10^4 or up to 10^13 in size,
+    the last far past the cap on a unit word's exponent mass."""
+    entry = st.integers(-2, 2) | st.integers(-10**4, 10**4) | st.integers(-10**13, 10**13)
     exact = st.lists(entry, min_size=max(n, 0), max_size=max(n, 0))
     vector = (exact | st.lists(entry, max_size=22)).map(
         lambda v: ",".join(map(str, v))
