@@ -215,9 +215,10 @@ def unit_word_oracle(d: int, e) -> tuple[CycloElement, CycloElement]:
     def product(exponents):
         acc = CycloElement(d, (1,) + (0,) * (deg - 1))
         for j, k in enumerate(exponents):
-            factor = CycloElement(d, tuple(
-                (i == 0) + (i == j % d) for i in range(max(deg, j % d + 1))
-            ))
+            coeffs = [0] * max(deg, j + 1)
+            coeffs[0] += 1
+            coeffs[j] += 1
+            factor = CycloElement(d, tuple(coeffs))
             for _ in range(k):
                 acc = field_mul_oracle(acc, factor)
         return acc

@@ -235,7 +235,7 @@ def test_relation_vectors_match_oracle_and_nudges_break_them():
             for j in range(n // p):
                 v = distribution_relation_vector(n, p, j)
                 num, den = unit_word_eval(n, v)
-                assert num == den and (num, den) == unit_word_oracle(n, v)
+                assert num == den
                 assert_matches_oracle(n, v)
                 for w in nudged(v, rng):
                     num, den = unit_word_eval(n, w)
