@@ -1,5 +1,9 @@
 """The ``fsrecon`` command line: one entry point wiring every module.
 
+Each handler imports the modules only it runs, so that a command pays at
+start-up only for the code it uses: numpy loads with the Radon kernel or the
+first count-vector step of subset sums, not with the parser.
+
 Exit codes: 0 success / verdict true, 1 verdict false (non-member, violation
 found, check failed), 2 usage or domain error, 3 resource or budget error.
 """
@@ -11,11 +15,10 @@ import random
 import sys
 import time
 
-from . import acceptance, counterexamples, cyclo, ofs, radon, search
+from . import search
 from .errors import DomainError, ResourceCapError, VerificationError
 from .groups import GroupSpec, cyclic
 from .multisets import Multiset, sim0_check
-from .radon import FunctionTable, RadonImage
 
 __all__ = ["main"]
 
@@ -71,6 +74,7 @@ def _cmd_sim0(args) -> int:
 
 
 def _cmd_ofs(args) -> int:
+    from . import ofs
     if args.action == "test":
         verdict = ofs.is_member(args.n)
         if args.brute:
@@ -95,6 +99,7 @@ def _cmd_ofs(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from . import counterexamples
     pair = counterexamples.build(args.n, args.mode)
     obj = {**pair.to_obj(), "mode": args.mode}
     lines = [
@@ -112,12 +117,13 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_radon(args) -> int:
+    from . import radon
     if args.action == "forward":
-        table = FunctionTable.from_obj(_read_json(args.infile))
+        table = radon.FunctionTable.from_obj(_read_json(args.infile))
         _write_text(args.out, radon.forward(table).to_json())
         return 0
     if args.action == "invert":
-        img = RadonImage.from_obj(_read_json(args.infile))
+        img = radon.RadonImage.from_obj(_read_json(args.infile))
         _write_text(args.out, radon.invert(img).to_json())
         return 0
     if args.action == "verify":
@@ -136,6 +142,7 @@ def _cmd_radon(args) -> int:
 
 
 def _cmd_cyclo(args) -> int:
+    from . import cyclo, ofs
     if args.action == "dist":
         checks = []
         for p in ofs.prime_factors(args.n):
@@ -205,6 +212,7 @@ def _cmd_search(args) -> int:
 
 
 def _bench_radon_case(n: int, d: int, rng, tables: int = 1) -> dict:
+    from . import radon
     if tables < 1:
         raise DomainError(f"--tables must be at least 1, got {tables}")
     table = radon.random_table(n, d, rng)
@@ -280,6 +288,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance
     results = acceptance.run_all(
         quick=args.quick, seed=args.seed, corrupt_lambda=args.corrupt_lambda
     )

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from .errors import DomainError, ResourceCapError
@@ -53,11 +54,11 @@ __all__ = [
 
 # Largest n the rank certificates accept, the largest n whose distribution
 # relations are checked (checking them all takes on the order of n^3 steps),
-# the largest n kernel_test accepts (its cyclotomic polynomials and
-# reductions take on the order of n^2 steps), the bound on d*m^2 for one
+# the largest n kernel_test accepts (its reductions mod the cyclotomic
+# polynomials take on the order of n^2 steps), the bound on d*m^2 for one
 # product of m unit factors over conductor d (m passes of adds over d counts
-# of up to m bits), and the working precision and singular-value cutoff of
-# the numeric unit-rank check.
+# of up to m bits) and on its sum over the words of one kernel test, and the
+# working precision and singular-value cutoff of the numeric unit-rank check.
 RANK_CAP = 45
 DISTRIBUTION_CAP = 255
 KERNEL_TEST_CAP = 4095
@@ -67,16 +68,6 @@ RANK_TOLERANCE = 1e-8
 
 
 # -- integer polynomial helpers (dense, low-to-high coefficients) -----------
-
-
-def _poly_mul(a: Sequence, b: Sequence) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
 
 
 def _poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
@@ -99,19 +90,29 @@ def _poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, low to high.
 
-    Computed as (t^n - 1) / product of the lower cyclotomics, by exact
-    integer division.
+    For n > 1 it is the product of (1 - t^d)^mu(n/d) over d | n (the signs
+    of the t^d - 1 cancel, as the mu(n/d) sum to 0), taken as a power series
+    cut after degree phi(n).  Multiplying by a binomial 1 - t^d, or dividing
+    by it, is one pass of adds, once for each of the 2^omega(n) squarefree
+    n/d.
     """
     if n < 1:
         raise DomainError(f"conductor must be positive, got {n}")
-    num = [-1] + [0] * (n - 1) + [1]
-    den: list = [1]
-    for d in divisors(n)[:-1]:
-        den = _poly_mul(den, cyclotomic_poly(d))
-    quot, rem = _poly_divmod(num, den)
-    if any(rem):
-        raise ArithmeticError("division was not exact")
-    return tuple(quot)
+    if n == 1:
+        return (-1, 1)
+    deg = totient(n)
+    coeffs = [1] + [0] * deg
+    primes = prime_factors(n)
+    for k in range(len(primes) + 1):
+        for chosen in combinations(primes, k):
+            d = n // math.prod(chosen)
+            if k % 2 == 0:
+                for i in range(deg, d - 1, -1):
+                    coeffs[i] -= coeffs[i - d]
+            else:
+                for i in range(d, deg + 1):
+                    coeffs[i] += coeffs[i - d]
+    return tuple(coeffs)
 
 
 class CycloElement:
@@ -150,6 +151,13 @@ class CycloElement:
         if not self.is_rational():
             raise DomainError("element is not rational")
         return Fraction(self.coeffs[0])
+
+
+def _word_cost(d: int, exponents: Sequence[int]) -> int:
+    """d*m^2 for the larger exponent mass m of the two parts of a unit word:
+    the adds its evaluation takes, up to a factor of 2."""
+    mass = max(sum(e for e in exponents if e > 0), -sum(e for e in exponents if e < 0))
+    return d * mass * mass
 
 
 def _counts(d: int, exponents: Sequence[int]) -> list:
@@ -235,7 +243,14 @@ def kernel_test(n: int, x: Sequence[int]) -> bool:
         raise DomainError(f"n must be odd, got {n}")
     if n > KERNEL_TEST_CAP:
         raise ResourceCapError(f"kernel test capped at n = {KERNEL_TEST_CAP}")
-    words = (unit_word_eval(d, fold_exponents(n, d, x)) for d in divisors(n))
+    folds = [(d, fold_exponents(n, d, x)) for d in divisors(n)]
+    cost = sum(_word_cost(d, e) for d, e in folds)
+    if cost > UNIT_WORD_CAP:
+        raise ResourceCapError(
+            f"the unit words of the kernel test for n = {n} cost d*mass^2 = {cost}"
+            f" summed over the divisors, past {UNIT_WORD_CAP}"
+        )
+    words = (unit_word_eval(d, e) for d, e in folds)
     return all(numerator == denominator for numerator, denominator in words)
 
 

@@ -18,7 +18,8 @@ one predicate picks one of two encodings:
 
 Counts are at most 2^|A|.  While 2^|A| < 2^63 the vector is int64; past it,
 it holds exact Python integers (dtype object).  ``GroupElement``s are built
-only when sums leave the space.
+only when sums leave the space.  The vector encoding lives in ``vectorsums``,
+which imports numpy; ``sums_space`` loads it the first time it picks it.
 
 ``sim_check`` decides whether A' arises from A by negating some subset
 (equivalent to matching counts on every pair class {x, -x}), and
@@ -29,14 +30,14 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import DomainError, GroupMismatchError, ResourceCapError
 from .groups import GroupElement, GroupSpec
+
+if TYPE_CHECKING:
+    from .vectorsums import _VectorSums
 
 __all__ = [
     "DEFAULT_SUBSET_SUMS_CAP",
@@ -93,56 +94,6 @@ class _MapSums:
         return all(c <= want.get(x, 0) for x, c in sums.items())
 
 
-class _VectorSums:
-    """Sums as count vectors of shape `group.moduli`, in mixed-radix
-    (lexicographic coordinate) order.  Counts of at most `size`-element
-    multisets are at most 2^size: int64 holds them below 2^63, and past it
-    the vector holds exact Python integers (dtype object)."""
-
-    def __init__(self, group: GroupSpec, size: int):
-        mods = group.moduli
-        self.group = group
-        # A group with no factors still holds its one count in an axis.
-        self.start = np.zeros(mods or (1,), dtype=np.int64 if size < 63 else object)
-        self.start.reshape(-1)[0] = 1
-        self._strides = [math.prod(mods[i + 1:]) for i in range(len(mods))]
-        self._wrap = [np.arange(2 * m) % m for m in mods]
-
-    def shift(self, a: GroupElement) -> tuple:
-        """The index that gathers v[z - a] at every z."""
-        return np.ix_(*[
-            w[m - c : 2 * m - c] for w, m, c in zip(self._wrap, self.group.moduli, a.coords)
-        ])
-
-    def step(self, v: np.ndarray, shift: tuple, m: int = 1) -> np.ndarray:
-        for _ in range(m):
-            v = v + v[shift]
-        return v
-
-    def key(self, v: np.ndarray) -> tuple:
-        """The nonzero positions and their counts: as long as the number of
-        distinct sums, not the size of the group."""
-        flat = v.reshape(-1)
-        where = np.flatnonzero(flat)
-        return where.tobytes(), tuple(flat[where].tolist())
-
-    def encode(self, ms: Multiset) -> np.ndarray:
-        v = np.zeros_like(self.start)
-        for x, c in ms.items():
-            v.reshape(-1)[sum(map(operator.mul, x.coords, self._strides))] = c
-        return v
-
-    def counts(self, v: np.ndarray) -> dict:
-        flat = v.reshape(-1)
-        where = np.flatnonzero(flat)
-        strides, mods = (np.array(t, dtype=np.int64) for t in (self._strides, self.group.moduli))
-        coords = (where[:, None] // strides % mods).tolist()
-        return {GroupElement(c, self.group): n for c, n in zip(coords, flat[where].tolist())}
-
-    def fits(self, v: np.ndarray, want: np.ndarray) -> bool:
-        return bool((v <= want).all())
-
-
 def sums_space(group: GroupSpec, size: int, levels: int = 1) -> _MapSums | _VectorSums:
     """The encoding of the subset sums of multisets of at most `size`
     elements over `group`, for a caller that holds `levels` of them at once:
@@ -152,6 +103,7 @@ def sums_space(group: GroupSpec, size: int, levels: int = 1) -> _MapSums | _Vect
     maps, whose step costs the number of distinct sums, everywhere else."""
     if (group.is_finite() and levels * group.size() <= MAX_DISTINCT_SUMS
             and group.size() <= 2 ** (size + 1)):
+        from .vectorsums import _VectorSums
         return _VectorSums(group, size)
     return _MapSums(group)
 
@@ -341,6 +293,18 @@ class Sim0Witness:
     sum_check: GroupElement
 
 
+def _flip_negations(a: Multiset, b: Multiset) -> dict | None:
+    """{x: -x} over the supports of a and b, each element negated once, when
+    b arises from a by negating some subset; None when it does not."""
+    a._require_same_group(b)
+    am, bm = a._mult, b._mult
+    neg = {x: -x for x in am.keys() | bm.keys()}
+    for x, y in neg.items():
+        if am.get(x, 0) + am.get(y, 0) != bm.get(x, 0) + bm.get(y, 0):
+            return None
+    return neg
+
+
 def sim_check(a: Multiset, b: Multiset) -> bool:
     """Decide whether b arises from a by negating some subset.
 
@@ -348,11 +312,7 @@ def sim_check(a: Multiset, b: Multiset) -> bool:
     count of the class, and that condition is also sufficient: the excess of
     a over b on one side of every pair is exactly what must be flipped.
     """
-    a._require_same_group(b)
-    for x in set(a._mult) | set(b._mult):
-        if a.multiplicity(x) + a.multiplicity(-x) != b.multiplicity(x) + b.multiplicity(-x):
-            return False
-    return True
+    return _flip_negations(a, b) is not None
 
 
 def sim0_check(a: Multiset, b: Multiset) -> tuple[bool, Sim0Witness | None]:
@@ -367,21 +327,24 @@ def sim0_check(a: Multiset, b: Multiset) -> tuple[bool, Sim0Witness | None]:
     modulus, so the question is whether -base is a sum of some of the free
     elements: a linear system over GF(2), solved by elimination on bitmasks.
     """
-    if not sim_check(a, b):
+    neg = _flip_negations(a, b)
+    if neg is None:
         return False, None
     forced: dict[GroupElement, int] = {}
+    frees: list[GroupElement] = []
     base = a.group.zero()
     for x in a.support():
-        if x == -x:
+        if x == neg[x]:
+            if not x.is_zero():
+                frees.append(x)
             continue
-        excess = a.multiplicity(x) - b.multiplicity(x)
+        excess = a._mult[x] - b._mult.get(x, 0)
         if excess > 0:
             forced[x] = excess
             base = base + excess * x
     target = -base
     if target != -target:
         return False, None
-    frees = [x for x in a.support() if x == -x and not x.is_zero()]
     # Elimination over GF(2), target last: leading bit -> (vector, the
     # inputs summing to it, as a bitmask over frees + [target]).
     pivots: dict[int, tuple[int, int]] = {}

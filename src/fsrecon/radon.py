@@ -34,7 +34,6 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from .channels import exact
-from .cyclo import CycloElement
 from .errors import DomainError, ResourceCapError
 from .ofs import divisors, prime_factors, totient
 
@@ -434,6 +433,7 @@ def fourier_invert_at_zero(img: RadonImage) -> Fraction:
     sum_c w^(-c) Rf(hom, c) over all homomorphisms and residues, evaluated
     exactly in the n-th cyclotomic field and divided by n^d.  A nonrational
     outcome means the input was not a genuine transform image."""
+    from .cyclo import CycloElement
     n, d = img.n, img.d
     # Residue c lands on the power w^(-c); slice c of the flat table holds
     # residue c of every homomorphism.

@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fsrecon
 from fsrecon import cli, cyclo
 from fsrecon.cli import main
 from fsrecon.groups import GroupSpec, cyclic
@@ -457,6 +462,16 @@ def test_cyclo_kernel_test_stops_at_the_conductor_cap(capsys):
     refused_in_under_a_second(capsys, ["cyclo", "kernel-test", str(n + 2), f"--vector={vector}"])
 
 
+def test_cyclo_kernel_test_budgets_the_words_of_all_divisors(capsys):
+    # A flip-lattice vector scaled until its word over the conductor itself
+    # just fits the cap.  Over the 16 divisors of 3705 the words cost about
+    # twice that, and evaluating them all took seconds.
+    n = 3705
+    scale = math.isqrt(cyclo.UNIT_WORD_CAP // (9 * n))
+    vector = ",".join(str(scale * v) for v in cyclo.sim0_lattice_basis(n)[1])
+    refused_in_under_a_second(capsys, ["cyclo", "kernel-test", str(n), f"--vector={vector}"])
+
+
 @pytest.mark.parametrize(
     "n, digest",
     [
@@ -642,3 +657,48 @@ def test_scan_report_obj_reader_round_trip():
     report = regularity_scan(cyclic(2), 2)
     again = ScanReport.from_obj(report.to_obj())
     assert again.to_obj() == report.to_obj()
+
+
+# -- start-up --------------------------------------------------------------------------
+
+
+def fresh_python(body, *argv):
+    """Run `body` in a new interpreter, since this one has loaded numpy; it
+    may set `code`.  (exit code, stdout, whether numpy was imported)."""
+    src = str(Path(fsrecon.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = f"import sys\ncode = 0\n{body}\nprint('numpy' in sys.modules)\nsys.exit(code)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    *lines, loaded = proc.stdout.splitlines(keepends=True)
+    return proc.returncode, "".join(lines), loaded == "True\n"
+
+
+@pytest.mark.parametrize("module", ["fsrecon", "fsrecon.cli"])
+def test_import_loads_no_numpy(module):
+    assert fresh_python(f"import {module}") == (0, "", False)
+
+
+def test_pure_integer_commands_load_no_numpy(tmp_path):
+    z6 = cyclic(6)
+    for name, elements in (("a", [1, 2, 3]), ("b", [5, 4, 3])):
+        (tmp_path / f"{name}.json").write_text(Multiset.from_elements(z6, elements).to_json())
+    main_argv = "from fsrecon.cli import main\ncode = main(sys.argv[1:])"
+    cases = [
+        (
+            ["sim0", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json")],
+            0, "zero-flip equivalent: True\nflip set: {1, 2, 3}\n",
+        ),
+        (
+            ["ofs", "test", "97"],
+            1, "97: not member (ord2=48, phi=96, branch=half-order-minus-one)\n",
+        ),
+        (
+            ["search", "scan", "--group", '{"moduli":[0]}', "--max-size", "2", "--bound", "2"],
+            0, "group Z, sizes <= 2, checked 20, exhaustive=False\nviolations: 0\n",
+        ),
+    ]
+    for argv, code, out in cases:
+        assert fresh_python(main_argv, *argv) == (code, out, False), argv

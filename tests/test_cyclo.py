@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from oracles import field_mul_oracle, root_power, unit_word_oracle
@@ -57,6 +58,36 @@ def test_cyclotomic_product_is_t_power_minus_one():
 def test_cyclotomic_degree_is_totient():
     for n in range(1, 40):
         assert len(cyclotomic_poly(n)) == totient(n) + 1
+
+
+@cache
+def cyclotomic_by_division(n):
+    """t^n - 1 divided by the product of the lower cyclotomic polynomials,
+    by long division: the definition, not the Mobius product."""
+    den = [1]
+    for d in divisors(n)[:-1]:
+        lower = cyclotomic_by_division(d)
+        out = [0] * (len(den) + len(lower) - 1)
+        for i, x in enumerate(den):
+            if x:
+                for j, y in enumerate(lower):
+                    out[i + j] += x * y
+        den = out
+    rem, top = [-1] + [0] * (n - 1) + [1], len(den) - 1
+    terms = [(j, c) for j, c in enumerate(den) if c]
+    quot = [0] * (n + 1 - top)
+    for i in range(n, top - 1, -1):
+        q = quot[i - top] = rem[i]
+        if q:
+            for j, c in terms:
+                rem[i - top + j] -= q * c
+    assert not any(rem), n
+    return tuple(quot)
+
+
+def test_cyclotomic_matches_long_division():
+    for n in [*range(1, 301), 3705, 4095]:
+        assert cyclotomic_poly(n) == cyclotomic_by_division(n), n
 
 
 # -- field arithmetic ------------------------------------------------------------
