@@ -129,12 +129,10 @@ def _c06_radon_round_trip(quick, rng, corrupt):
 def _criterion_weights(n, d, corrupt) -> radon.FunctionTable:
     """The closed-form weights; with `corrupt`, the zero hom's weight is
     raised by 1."""
-    weights = radon.inversion_weights(n, d)
+    w = radon.inversion_weights(n, d)
     if not corrupt:
-        return weights
-    values = {h: weights.value(h) for h in radon.iter_point_tuples(n, d)}
-    values[(0,) * d] += 1
-    return radon.FunctionTable.from_values(n, d, values)
+        return w
+    return radon.FunctionTable(n, d, [w._nums[0] + w._den, *w._nums[1:]], w._den)
 
 
 def _c07_inverting_criterion(quick, rng, corrupt):

@@ -1,17 +1,18 @@
 """Exact arithmetic in cyclotomic fields and the unit-relation checks that
 underpin subset-sums reconstruction over odd cyclic groups.
 
-Elements are residues modulo the n-th cyclotomic polynomial, so equality of
-canonical coefficient vectors is equality in the field (reducing mod t^n - 1
-instead would introduce zero divisors).  The units of interest are 1 + w^j
-for a primitive d-th root of unity w; a "unit word" is a formal integer
-exponent vector e on those generators.  Its positive part is a multiset over
-Z/d with e_j copies of j, and the product of (1 + t^j)^e_j modulo t^d - 1 is
-that multiset's subset-sums count vector.  Since the d-th cyclotomic
-polynomial divides t^d - 1, reducing the count vector once mod it gives the
-product in the field.  A word is evaluated as the pair of reduced count
-vectors of its positive and its negated negative part (no inverses are
-computed in the ring; the word is 1 when the two are equal).
+A field element is its canonical coefficient tuple: the remainder of a
+polynomial mod the n-th cyclotomic polynomial, phi(n) coefficients low to
+high, so equal tuples are equal elements (reducing mod t^n - 1 instead would
+introduce zero divisors).  The units of interest are 1 + w^j for a primitive
+d-th root of unity w; a "unit word" is a formal integer exponent vector e on
+those generators.  Its positive part is a multiset over Z/d with e_j copies
+of j, and the product of (1 + t^j)^e_j modulo t^d - 1 is that multiset's
+subset-sums count vector.  Since the d-th cyclotomic polynomial divides
+t^d - 1, reducing the count vector once mod it gives the product in the
+field.  A word is evaluated as the pair of reduced count vectors of its
+positive and its negated negative part (no inverses are computed in the
+ring); it is 1 when the difference of the two count vectors reduces to 0.
 
 The rank checks at the bottom certify, for odd n:
 
@@ -27,7 +28,6 @@ The rank checks at the bottom certify, for odd n:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
@@ -38,7 +38,7 @@ from .ofs import divisors, is_member, prime_factors, totient
 
 __all__ = [
     "cyclotomic_poly",
-    "CycloElement",
+    "canonical",
     "unit_word_eval",
     "verify_distribution",
     "fold_exponents",
@@ -54,36 +54,16 @@ __all__ = [
 
 # Largest n the rank certificates accept, the largest n whose distribution
 # relations are checked (checking them all takes on the order of n^3 steps),
-# the largest n kernel_test accepts (its reductions mod the cyclotomic
-# polynomials take on the order of n^2 steps), the bound on d*m^2 for one
-# product of m unit factors over conductor d (m passes of adds over d counts
-# of up to m bits) and on its sum over the words of one kernel test, and the
-# working precision and singular-value cutoff of the numeric unit-rank check.
+# the largest n kernel_test accepts, the bound on d*m^2 for one product of m
+# unit factors over conductor d (m passes of adds over d counts of up to m
+# bits) and on its sum over the words of one kernel test, and the working
+# precision and singular-value cutoff of the numeric unit-rank check.
 RANK_CAP = 45
 DISTRIBUTION_CAP = 255
 KERNEL_TEST_CAP = 4095
 UNIT_WORD_CAP = 2**32
 RANK_PRECISION_BITS = 100
 RANK_TOLERANCE = 1e-8
-
-
-# -- integer polynomial helpers (dense, low-to-high coefficients) -----------
-
-
-def _poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
-    """Quotient and remainder of integer polynomials by a monic divisor,
-    by long division over the divisor's nonzero terms."""
-    rem = list(num)
-    dd = len(den) - 1
-    terms = [(j, c) for j, c in enumerate(den[:dd]) if c]
-    quot = [0] * max(len(rem) - dd, 0)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        q = rem[i]
-        if q:
-            quot[i - dd] = q
-            for j, c in terms:
-                rem[i - dd + j] -= q * c
-    return quot, rem[:dd]
 
 
 @lru_cache(maxsize=None)
@@ -115,42 +95,22 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-class CycloElement:
-    """A residue mod the n-th cyclotomic polynomial, i.e. an element of the
-    n-th cyclotomic field in canonical coordinates (degree < phi(n))."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: tuple):
-        self.n = n
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_poly(cls, n: int, coeffs: Sequence) -> CycloElement:
-        deg = totient(n)
-        reduced = _poly_divmod(coeffs, cyclotomic_poly(n))[1]
-        reduced += [0] * (deg - len(reduced))
-        return cls(n, tuple(reduced))
-
-    @classmethod
-    def rational(cls, n: int, value) -> CycloElement:
-        return cls.from_poly(n, [value])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycloElement):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"CycloElement({self.n}, {self.coeffs})"
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise DomainError("element is not rational")
-        return Fraction(self.coeffs[0])
+def canonical(n: int, coeffs: Sequence) -> tuple:
+    """The canonical coordinates of the polynomial `coeffs` (low to high) in
+    the n-th cyclotomic field: its remainder mod the n-th cyclotomic
+    polynomial as phi(n) coefficients.  That polynomial is monic, so one
+    long division over its nonzero terms gives the remainder, and no
+    quotient is kept."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    rem = [*coeffs, *[0] * (deg - len(coeffs))]
+    terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]
+    for i in range(len(rem) - 1, deg - 1, -1):
+        q = rem[i]
+        if q:
+            for j, c in terms:
+                rem[i - deg + j] -= q * c
+    return tuple(rem[:deg])
 
 
 def _word_cost(d: int, exponents: Sequence[int]) -> int:
@@ -177,7 +137,14 @@ def _counts(d: int, exponents: Sequence[int]) -> list:
     return v
 
 
-def unit_word_eval(d: int, exponents: Sequence[int]) -> tuple[CycloElement, CycloElement]:
+def _is_one(d: int, exponents: Sequence[int]) -> bool:
+    """Whether the unit word is 1: its numerator and denominator count
+    vectors differ by a multiple of the d-th cyclotomic polynomial."""
+    numerator, denominator = _counts(d, exponents), _counts(d, [-e for e in exponents])
+    return not any(canonical(d, [a - b for a, b in zip(numerator, denominator)]))
+
+
+def unit_word_eval(d: int, exponents: Sequence[int]) -> tuple[tuple, tuple]:
     """The product of (1 + w_d^j)^e_j as the exact pair (numerator,
     denominator): the products over the positive e_j and over the negated
     negative ones.  d must be odd so that no factor vanishes."""
@@ -185,8 +152,7 @@ def unit_word_eval(d: int, exponents: Sequence[int]) -> tuple[CycloElement, Cycl
         raise DomainError(f"conductor must be odd (1 + w^(d/2) vanishes), got {d}")
     if len(exponents) != d:
         raise DomainError(f"expected {d} exponents, got {len(exponents)}")
-    numerator, denominator = _counts(d, exponents), _counts(d, [-e for e in exponents])
-    return CycloElement.from_poly(d, numerator), CycloElement.from_poly(d, denominator)
+    return canonical(d, _counts(d, exponents)), canonical(d, _counts(d, [-e for e in exponents]))
 
 
 def verify_distribution(n: int, p: int, j: int) -> bool:
@@ -202,8 +168,7 @@ def verify_distribution(n: int, p: int, j: int) -> bool:
         raise DomainError(f"{p} does not divide {n}")
     if not 0 <= j < n // p:
         raise DomainError(f"index {j} out of range for n={n}, p={p}")
-    numerator, denominator = unit_word_eval(n, distribution_relation_vector(n, p, j))
-    return numerator == denominator
+    return _is_one(n, distribution_relation_vector(n, p, j))
 
 
 def fold_exponents(n: int, d: int, x: Sequence[int]) -> tuple[int, ...]:
@@ -250,8 +215,7 @@ def kernel_test(n: int, x: Sequence[int]) -> bool:
             f"the unit words of the kernel test for n = {n} cost d*mass^2 = {cost}"
             f" summed over the divisors, past {UNIT_WORD_CAP}"
         )
-    words = (unit_word_eval(d, e) for d, e in folds)
-    return all(numerator == denominator for numerator, denominator in words)
+    return all(_is_one(d, e) for d, e in folds)
 
 
 def unit_signature(ms) -> tuple:
@@ -268,7 +232,7 @@ def unit_signature(ms) -> tuple:
     for x, m in ms.items():
         mu[x.coords[0]] = m
     return tuple(
-        (d, CycloElement.from_poly(d, _counts(d, fold_exponents(n, d, mu))).coeffs)
+        (d, canonical(d, _counts(d, fold_exponents(n, d, mu))))
         for d in divisors(n)
     )
 

@@ -433,12 +433,12 @@ def fourier_invert_at_zero(img: RadonImage) -> Fraction:
     sum_c w^(-c) Rf(hom, c) over all homomorphisms and residues, evaluated
     exactly in the n-th cyclotomic field and divided by n^d.  A nonrational
     outcome means the input was not a genuine transform image."""
-    from .cyclo import CycloElement
+    from .cyclo import canonical
     n, d = img.n, img.d
     # Residue c lands on the power w^(-c); slice c of the flat table holds
     # residue c of every homomorphism.
     poly = [sum(img._nums[-k % n :: n]) for k in range(n)]
-    elem = CycloElement.from_poly(n, poly)
-    if not elem.is_rational():
+    value, *rest = canonical(n, poly)
+    if any(rest):
         raise DomainError("character sum is irrational: not a transform image")
-    return elem.rational_value() / (img._den * n**d)
+    return Fraction(value) / (img._den * n**d)

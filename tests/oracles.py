@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from fsrecon.cyclo import CycloElement, cyclotomic_poly
+from fsrecon.cyclo import cyclotomic_poly
 from fsrecon.groups import GroupElement, GroupSpec
 from fsrecon.multisets import Multiset
 from fsrecon.radon import RadonImage
@@ -182,30 +182,31 @@ def factorize_oracle(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def root_power(n: int, j: int) -> CycloElement:
-    """w^j for the primitive n-th root of unity w, from the polynomial x^j
-    with j reduced mod n, since w^n = 1."""
-    return CycloElement.from_poly(n, [0] * (j % n) + [1])
-
-
-def field_mul_oracle(a: CycloElement, b: CycloElement) -> CycloElement:
-    """a * b in the n-th cyclotomic field: the schoolbook product of the
-    coefficient lists, reduced by long division by the n-th cyclotomic
-    polynomial, one leading term at a time."""
-    phi = cyclotomic_poly(a.n)
+def field_mul_oracle(n: int, a, b) -> tuple:
+    """a * b in the n-th cyclotomic field, for coefficient sequences a and b
+    of any length (low to high): the schoolbook product, reduced by long
+    division by the n-th cyclotomic polynomial, one leading term at a time,
+    to its phi(n) canonical coordinates."""
+    phi = cyclotomic_poly(n)
     deg = len(phi) - 1
-    prod = [0] * (len(a.coeffs) + len(b.coeffs))
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
+    prod = [0] * max(len(a) + len(b), deg)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
             prod[i + j] += x * y
     for top in range(len(prod) - 1, deg - 1, -1):
         q = prod[top]
         for k, c in enumerate(phi):
             prod[top - deg + k] -= q * c
-    return CycloElement(a.n, tuple(prod[:deg]))
+    return tuple(prod[:deg])
 
 
-def unit_word_oracle(d: int, e) -> tuple[CycloElement, CycloElement]:
+def root_power(n: int, j: int) -> tuple:
+    """w^j for the primitive n-th root of unity w: 1 times the polynomial
+    t^j, with j reduced mod n since w^n = 1."""
+    return field_mul_oracle(n, (1,), (0,) * (j % n) + (1,))
+
+
+def unit_word_oracle(d: int, e) -> tuple[tuple, tuple]:
     """The unit word with exponents e over conductor d as the pair
     (numerator, denominator): one factor 1 + w^j per copy of j in the
     positive part and in the negated negative part, multiplied in one at a
@@ -213,14 +214,13 @@ def unit_word_oracle(d: int, e) -> tuple[CycloElement, CycloElement]:
     deg = len(cyclotomic_poly(d)) - 1
 
     def product(exponents):
-        acc = CycloElement(d, (1,) + (0,) * (deg - 1))
+        acc = (1,) + (0,) * (deg - 1)
         for j, k in enumerate(exponents):
-            coeffs = [0] * max(deg, j + 1)
-            coeffs[0] += 1
-            coeffs[j] += 1
-            factor = CycloElement(d, tuple(coeffs))
+            factor = [0] * (j + 1)
+            factor[0] += 1
+            factor[j] += 1
             for _ in range(k):
-                acc = field_mul_oracle(acc, factor)
+                acc = field_mul_oracle(d, acc, factor)
         return acc
 
     return product(e), product([-x for x in e])

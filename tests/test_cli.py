@@ -492,6 +492,13 @@ def test_distribution_relations_of_251_are_fast():
     assert time.perf_counter() - start < 0.5
 
 
+def test_kernel_test_of_a_flip_lattice_vector_at_3705_is_fast():
+    x = cyclo.sim0_lattice_basis(3705)[1]
+    start = time.perf_counter()
+    assert cyclo.kernel_test(3705, x)
+    assert time.perf_counter() - start < 0.2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -699,6 +706,7 @@ def test_pure_integer_commands_load_no_numpy(tmp_path):
             ["search", "scan", "--group", '{"moduli":[0]}', "--max-size", "2", "--bound", "2"],
             0, "group Z, sizes <= 2, checked 20, exhaustive=False\nviolations: 0\n",
         ),
+        (["cyclo", "kernel-test", "5", "--vector", "0,1,2,-2,-1"], 0, "kernel test for n=5: True\n"),
     ]
     for argv, code, out in cases:
         assert fresh_python(main_argv, *argv) == (code, out, False), argv
