@@ -5,7 +5,6 @@ Library surface, one module per concern:
 * ``errors``        -- the error types behind the CLI's exit codes
 * ``groups``        -- finitely generated abelian groups and their elements
 * ``multisets``     -- multisets, subset sums, sign-flip equivalences
-* ``vectorsums``    -- subset sums as numpy count vectors, loaded on first use
 * ``ofs``           -- the odd moduli covered by plus/minus powers of two
 * ``counterexamples`` -- equal-subset-sums pairs that are not flip equivalent
 * ``linalg``        -- exact rational rank

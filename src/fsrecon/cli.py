@@ -1,8 +1,8 @@
 """The ``fsrecon`` command line: one entry point wiring every module.
 
 Each handler imports the modules only it runs, so that a command pays at
-start-up only for the code it uses: numpy loads with the Radon kernel or the
-first count-vector step of subset sums, not with the parser.
+start-up only for the code it uses: numpy loads only with the Radon kernel,
+which the radon commands, ``selftest`` and the Radon bench rows run.
 
 Exit codes: 0 success / verdict true, 1 verdict false (non-member, violation
 found, check failed), 2 usage or domain error, 3 resource or budget error.

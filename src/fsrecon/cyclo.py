@@ -8,7 +8,8 @@ introduce zero divisors).  The units of interest are 1 + w^j for a primitive
 d-th root of unity w; a "unit word" is a formal integer exponent vector e on
 those generators.  Its positive part is a multiset over Z/d with e_j copies
 of j, and the product of (1 + t^j)^e_j modulo t^d - 1 is that multiset's
-subset-sums count vector.  Since the d-th cyclotomic polynomial divides
+subset-sums count vector, stepped by the ``multisets.VectorSums`` that
+subset sums over Z/d use.  Since the d-th cyclotomic polynomial divides
 t^d - 1, reducing the count vector once mod it gives the product in the
 field.  A word is evaluated as the pair of reduced count vectors of its
 positive and its negated negative part (no inverses are computed in the
@@ -33,7 +34,9 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import DomainError, ResourceCapError
+from .groups import cyclic
 from .linalg import rational_rank
+from .multisets import VectorSums
 from .ofs import divisors, is_member, prime_factors, totient
 
 __all__ = [
@@ -130,10 +133,10 @@ def _counts(d: int, exponents: Sequence[int]) -> list:
             f"unit word of conductor {d} and exponent mass {mass} is past"
             f" d*mass^2 <= {UNIT_WORD_CAP}"
         )
-    v = [1] + [0] * (d - 1)
+    space = VectorSums(cyclic(d))
+    v = space.start
     for j, e in enumerate(exponents):
-        for _ in range(e):
-            v = [v[i] + v[i - j] for i in range(d)]
+        v = space.step(v, (j,), e)
     return v
 
 

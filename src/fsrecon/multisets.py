@@ -8,18 +8,16 @@ one predicate picks one of two encodings:
 
 * over a finite group of at most 2^(s + 1) elements, s the largest size
   summed, so that the 2^s sums could fill half of it, and small enough that
-  the walk's count vectors fit in MAX_DISTINCT_SUMS counts, the sums are a
-  vector indexed by each element's mixed-radix position
-  (lexicographic coordinate order), and one step is v + v[shifted by a],
-  once per copy;
+  the walk's count vectors fit in MAX_DISTINCT_SUMS counts, they are a
+  ``VectorSums`` list of counts indexed by each element's mixed-radix
+  position (lexicographic coordinate order), and one step adds to it its
+  rotation by a, once per copy;
 * over a group with a Z factor (sparse sums such as those of {1, 10^9}
   would need a window of width 2 * 10^9) or a larger finite group, they
   are a {GroupElement: count} map, extended by ``extend_subset_sums``.
 
-Counts are at most 2^|A|.  While 2^|A| < 2^63 the vector is int64; past it,
-it holds exact Python integers (dtype object).  ``GroupElement``s are built
-only when sums leave the space.  The vector encoding lives in ``vectorsums``,
-which imports numpy; ``sums_space`` loads it the first time it picks it.
+Counts are exact Python integers, and ``GroupElement``s are built only when
+sums leave the space.  ``cyclo`` steps its unit words with ``VectorSums``.
 
 ``sim_check`` decides whether A' arises from A by negating some subset
 (equivalent to matching counts on every pair class {x, -x}), and
@@ -30,20 +28,20 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, GroupMismatchError, ResourceCapError
 from .groups import GroupElement, GroupSpec
-
-if TYPE_CHECKING:
-    from .vectorsums import _VectorSums
 
 __all__ = [
     "DEFAULT_SUBSET_SUMS_CAP",
     "MAX_DISTINCT_SUMS",
     "Multiset",
     "Sim0Witness",
+    "VectorSums",
     "extend_subset_sums",
     "sums_space",
     "sim_check",
@@ -94,7 +92,58 @@ class _MapSums:
         return all(c <= want.get(x, 0) for x, c in sums.items())
 
 
-def sums_space(group: GroupSpec, size: int, levels: int = 1) -> _MapSums | _VectorSums:
+class VectorSums:
+    """Sums as count vectors: lists of exact counts, one per element of the
+    finite `group` at its mixed-radix position.  The shift of an element is
+    its coordinates."""
+
+    def __init__(self, group: GroupSpec):
+        mods = group.moduli
+        self.group = group
+        self._strides = [math.prod(mods[i + 1:]) for i in range(len(mods))]
+        self.start = [1] + [0] * (math.prod(mods) - 1)
+
+    def shift(self, a: GroupElement) -> tuple:
+        return a.coords
+
+    def step(self, v: list, shift: Sequence[int], m: int = 1) -> list:
+        """v times (1 + t^shift)^m: m times, v plus v rotated by `shift`.
+        Moving c along an axis of modulus q and stride s rotates every block
+        of that axis, q*s counts long, by c*s."""
+        rolls = [(q * s, c * s) for q, s, c in zip(self.group.moduli, self._strides, shift) if c]
+        for _ in range(m):
+            w = v
+            for block, r in rolls:
+                rolled = []
+                for start in range(0, len(w), block):
+                    cut = start + block - r
+                    rolled += w[cut:start + block]
+                    rolled += w[start:cut]
+                w = rolled
+            v = list(map(operator.add, v, w))
+        return v
+
+    def key(self, v: list) -> tuple:
+        """The nonzero positions and their counts: as long as the number of
+        distinct sums, not the size of the group."""
+        return tuple(compress(range(len(v)), v)), tuple(filter(None, v))
+
+    def encode(self, ms: Multiset) -> list:
+        v = [0] * len(self.start)
+        for x, c in ms.items():
+            v[sum(map(operator.mul, x.coords, self._strides))] = c
+        return v
+
+    def counts(self, v: list) -> dict:
+        radix = list(zip(self._strides, self.group.moduli))
+        return {GroupElement([i // s % m for s, m in radix], self.group): c
+                for i, c in compress(enumerate(v), v)}
+
+    def fits(self, v: list, want: list) -> bool:
+        return all(map(operator.le, v, want))
+
+
+def sums_space(group: GroupSpec, size: int, levels: int = 1) -> _MapSums | VectorSums:
     """The encoding of the subset sums of multisets of at most `size`
     elements over `group`, for a caller that holds `levels` of them at once:
     count vectors, whose step costs the size of the group, when it is
@@ -103,8 +152,7 @@ def sums_space(group: GroupSpec, size: int, levels: int = 1) -> _MapSums | _Vect
     maps, whose step costs the number of distinct sums, everywhere else."""
     if (group.is_finite() and levels * group.size() <= MAX_DISTINCT_SUMS
             and group.size() <= 2 ** (size + 1)):
-        from .vectorsums import _VectorSums
-        return _VectorSums(group, size)
+        return VectorSums(group)
     return _MapSums(group)
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
-from .errors import DomainError, ResourceCapError, VerificationError
+from .errors import DomainError, ResourceCapError
 
 __all__ = [
     "BRANCH_FULL_ORDER",
@@ -119,17 +119,18 @@ def divisors(n: int) -> list[int]:
 
 
 def ord_mod(a: int, n: int) -> int:
-    """Least k >= 1 with a^k = 1 mod n; a must be coprime to n."""
+    """Least k >= 1 with a^k = 1 mod n; a must be coprime to n.  The order
+    divides phi(n), so starting from k = phi(n), each prime p of phi(n) is
+    divided out of k while a^(k/p) = 1 still holds."""
     if n < 1:
         raise DomainError(f"modulus must be positive, got {n}")
     if math.gcd(a, n) != 1:
         raise DomainError(f"{a} is not invertible mod {n}")
-    if n == 1:
-        return 1
-    for k in divisors(totient(n)):
-        if pow(a, k, n) == 1:
-            return k
-    raise VerificationError("order must divide the totient")
+    k = totient(n)
+    for p in prime_factors(k):
+        while k % p == 0 and pow(a, k // p, n) == 1:
+            k //= p
+    return k
 
 
 @dataclass(frozen=True)

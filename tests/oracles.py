@@ -182,6 +182,14 @@ def factorize_oracle(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def ord_oracle(a: int, n: int) -> int:
+    """Least k >= 1 with a^k = 1 mod n, by multiplying by a until 1 recurs."""
+    k, v = 1, a % n
+    while v != 1 % n:
+        k, v = k + 1, v * a % n
+    return k
+
+
 def field_mul_oracle(n: int, a, b) -> tuple:
     """a * b in the n-th cyclotomic field, for coefficient sequences a and b
     of any length (low to high): the schoolbook product, reduced by long

@@ -692,6 +692,7 @@ def test_pure_integer_commands_load_no_numpy(tmp_path):
     z6 = cyclic(6)
     for name, elements in (("a", [1, 2, 3]), ("b", [5, 4, 3])):
         (tmp_path / f"{name}.json").write_text(Multiset.from_elements(z6, elements).to_json())
+    (tmp_path / "fs.json").write_text(Multiset.from_elements(cyclic(2), [0, 0, 1, 1]).to_json())
     main_argv = "from fsrecon.cli import main\ncode = main(sys.argv[1:])"
     cases = [
         (
@@ -707,6 +708,28 @@ def test_pure_integer_commands_load_no_numpy(tmp_path):
             0, "group Z, sizes <= 2, checked 20, exhaustive=False\nviolations: 0\n",
         ),
         (["cyclo", "kernel-test", "5", "--vector", "0,1,2,-2,-1"], 0, "kernel test for n=5: True\n"),
+        # Subset sums as count vectors, except for the Z/17 scan at size 2.
+        (
+            ["fs", "--in", str(tmp_path / "a.json")],
+            0, '{"group":{"moduli":[6]},"elements":[[[0],2],[[1],1],[[2],1],[[3],2],[[4],1],[[5],1]]}\n',
+        ),
+        (
+            ["search", "scan", "--group", '{"moduli":[17]}', "--max-size", "2"],
+            0, "group Z/17, sizes <= 2, checked 170, exhaustive=True\nviolations: 0\n",
+        ),
+        (
+            ["search", "scan", "--group", '{"moduli":[3,3]}', "--max-size", "3"],
+            0, "group Z/3 x Z/3, sizes <= 3, checked 219, exhaustive=True\nviolations: 0\n",
+        ),
+        (
+            ["search", "invert-fs", "--in", str(tmp_path / "fs.json")],
+            0, "2 equivalence classes\nclass 0: {0, 1}\nclass 1: {1:2}\n",
+        ),
+        (
+            ["counterexample", "17"],
+            0, "n=17 d=8 k=3 verified=True\nA  = {1, 2, 4, 8, 9, 13, 15, 16}\n"
+               "A' = {3, 5, 6, 7, 10, 11, 12, 14}\n",
+        ),
     ]
     for argv, code, out in cases:
         assert fresh_python(main_argv, *argv) == (code, out, False), argv

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from oracles import factorize_oracle
+from oracles import factorize_oracle, ord_oracle
 
 from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.ofs import (
@@ -93,6 +93,13 @@ def test_ord_mod_direct_iteration():
         powers.append(v)
     assert powers == [2, 4, 8, 16, 15, 13, 9, 1]
     assert ord_mod(2, 17) == 8
+
+
+def test_ord_mod_matches_direct_iteration_for_every_unit():
+    for n in range(1, 151):
+        for a in range(n):
+            if math.gcd(a, n) == 1:
+                assert ord_mod(a, n) == ord_oracle(a, n), (a, n)
 
 
 def test_ord_mod_edges():
