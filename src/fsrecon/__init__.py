@@ -8,7 +8,6 @@ Library surface, one module per concern:
 * ``ofs``           -- the odd moduli covered by plus/minus powers of two
 * ``counterexamples`` -- equal-subset-sums pairs that are not flip equivalent
 * ``linalg``        -- exact rational rank
-* ``channels``      -- exact integers from int64 kernels on residue channels
 * ``radon``         -- discrete Radon transform on (Z/nZ)^d and its inverses
 * ``cyclo``         -- exact cyclotomic arithmetic and unit-relation checks
 * ``search``        -- brute-force oracles and regularity scans

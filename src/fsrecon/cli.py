@@ -2,7 +2,7 @@
 
 Each handler imports the modules only it runs, so that a command pays at
 start-up only for the code it uses: numpy loads only with the Radon kernel,
-which the radon commands, ``selftest`` and the Radon bench rows run.
+which the radon commands and ``selftest`` run.
 
 Exit codes: 0 success / verdict true, 1 verdict false (non-member, violation
 found, check failed), 2 usage or domain error, 3 resource or budget error.
@@ -11,24 +11,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
 
 from . import search
 from .errors import DomainError, ResourceCapError, VerificationError
-from .groups import GroupSpec, cyclic
+from .groups import GroupSpec
 from .multisets import Multiset, sim0_check
 
 __all__ = ["main"]
 
 
 def _decode(load, source):
-    """load(source); JSON nested past the decoder's recursion limit is bad input."""
+    """load(source); JSON nested past the decoder's recursion limit, or with
+    an integer past its digit limit, is bad input."""
     try:
         return load(source)
     except RecursionError:
         raise DomainError("JSON nested too deeply to decode") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError keep their text
+        raise DomainError(str(exc)) from None
 
 
 def _read_json(path: str) -> dict:
@@ -126,19 +127,14 @@ def _cmd_radon(args) -> int:
         img = radon.RadonImage.from_obj(_read_json(args.infile))
         _write_text(args.out, radon.invert(img).to_json())
         return 0
-    if args.action == "verify":
-        ok = radon.verify_inverting(radon.inversion_weights(args.n, args.d))
-        _emit(
-            args,
-            {"n": args.n, "d": args.d, "inverting": ok},
-            [f"closed-form weights invert on (Z/{args.n})^{args.d}: {ok}"],
-        )
-        return 0 if ok else 1
-    # bench
-    rng = random.Random(args.seed)
-    rows = [_bench_radon_case(args.n, args.d, rng, tables=args.tables)]
-    _emit(args, {"suite": "radon", "rows": rows}, [json.dumps(r) for r in rows])
-    return 0
+    # verify
+    ok = radon.verify_inverting(radon.inversion_weights(args.n, args.d))
+    _emit(
+        args,
+        {"n": args.n, "d": args.d, "inverting": ok},
+        [f"closed-form weights invert on (Z/{args.n})^{args.d}: {ok}"],
+    )
+    return 0 if ok else 1
 
 
 def _cmd_cyclo(args) -> int:
@@ -211,82 +207,6 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _bench_radon_case(n: int, d: int, rng, tables: int = 1) -> dict:
-    from . import radon
-    if tables < 1:
-        raise DomainError(f"--tables must be at least 1, got {tables}")
-    table = radon.random_table(n, d, rng)
-    t0 = time.perf_counter()
-    for _ in range(tables):
-        img = radon.forward(table)
-    t1 = time.perf_counter()
-    for _ in range(tables):
-        back = radon.invert(img)
-    t2 = time.perf_counter()
-    ok = back == table
-    return {
-        "suite": "radon",
-        "case": f"n={n},d={d}",
-        "points": n**d,
-        "tables": tables,
-        "round_trip_exact": ok,
-        "forward_ms": round((t1 - t0) * 1000, 3),
-        "invert_ms": round((t2 - t1) * 1000, 3),
-    }
-
-
-def _bench_suite(suite: str, seed: int) -> list[dict]:
-    rng = random.Random(seed)
-    rows = []
-    if suite == "radon":
-        for n, d in ((3, 4), (9, 2), (5, 3), (3, 8)):
-            rows.append(_bench_radon_case(n, d, rng))
-    elif suite == "fs":
-        group = cyclic(257)
-        for size in (8, 12, 16, 20):
-            ms = Multiset.from_elements(group, (rng.randrange(257) for _ in range(size)))
-            t0 = time.perf_counter()
-            fs = ms.subset_sums(cap=size)
-            elapsed = time.perf_counter() - t0
-            rows.append(
-                {
-                    "suite": "fs",
-                    "case": f"size={size}",
-                    "subset_sums_cardinality": str(fs.cardinality),
-                    "distinct_sums": len(fs.support()),
-                    "wall_ms": round(elapsed * 1000, 3),
-                }
-            )
-    elif suite == "search":
-        cases = [
-            (cyclic(5), 3, None),
-            (cyclic(7), 3, None),
-            (GroupSpec((3, 3)), 2, None),
-        ]
-        for group, max_size, bound in cases:
-            t0 = time.perf_counter()
-            report = search.regularity_scan(group, max_size, bound=bound)
-            elapsed = time.perf_counter() - t0
-            rows.append(
-                {
-                    "suite": "search",
-                    "case": f"group={group},max_size={max_size}",
-                    "checked": report.checked,
-                    "violations": len(report.violations),
-                    "wall_ms": round(elapsed * 1000, 3),
-                }
-            )
-    else:
-        raise DomainError(f"unknown bench suite {suite!r}")
-    return rows
-
-
-def _cmd_bench(args) -> int:
-    rows = _bench_suite(args.suite, args.seed)
-    _emit(args, {"suite": args.suite, "rows": rows}, [json.dumps(r) for r in rows])
-    return 0
-
-
 def _cmd_selftest(args) -> int:
     from . import acceptance
     results = acceptance.run_all(
@@ -345,10 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q = radon_sub.add_parser("verify")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
-    q = radon_sub.add_parser("bench")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--tables", type=int, default=1)
 
     p = sub.add_parser("cyclo", help="cyclotomic unit-relation checks")
     cyclo_sub = p.add_subparsers(dest="action", required=True)
@@ -371,9 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--bound", type=int, default=None)
 
-    p = sub.add_parser("bench", help="timing sweeps")
-    p.add_argument("--suite", choices=("radon", "fs", "search"), required=True)
-
     p = sub.add_parser("selftest", help="run the acceptance checklist")
     p.add_argument("--quick", action="store_true", help="reduced scales")
     p.add_argument(
@@ -392,7 +305,6 @@ _DISPATCH = {
     "radon": _cmd_radon,
     "cyclo": _cmd_cyclo,
     "search": _cmd_search,
-    "bench": _cmd_bench,
     "selftest": _cmd_selftest,
 }
 

@@ -330,7 +330,10 @@ class Multiset:
         return cls(group, pairs)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(",", ":"))
+        try:
+            return json.dumps(self.to_obj(), separators=(",", ":"))
+        except ValueError as exc:  # str(int) refuses integers past its digit limit
+            raise ResourceCapError(f"cannot write the multiset: {exc}") from None
 
 
 @dataclass(frozen=True)

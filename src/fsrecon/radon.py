@@ -14,12 +14,13 @@ denominator, and filed as JSON rows in that order.  Forward, invert and
 verify share one separable integer kernel: a sweep that turns one coordinate
 axis at a time into a coefficient axis by a shift-and-add along the residue
 axis, in d n^(d+2) operations and n^(d+1) memory.  It runs on numpy int64
-only, on one or more residue channels: a bound proved up front caps every
-partial sum, and when it passes int64 the kernel runs once per modulus of a
-set whose product exceeds twice the bound, and an exact CRT rebuild
-recovers each integer.  Grids built from arguments stop at MAX_IMAGE_ENTRIES
-image entries.  The transform is not surjective and ``invert`` trusts its
-input; ``fourier_invert_at_zero`` is an independent second inverse.
+only, on one or more residue channels (``_exact``): a bound proved up front
+caps every partial sum, and when it passes 2^62 the kernel runs once per
+odd modulus of a coprime set whose product exceeds twice the bound, and an
+exact CRT rebuild recovers each integer as its symmetric representative.
+Grids built from arguments stop at MAX_IMAGE_ENTRIES image entries.  The
+transform is not surjective and ``invert`` trusts its input;
+``fourier_invert_at_zero`` is an independent second inverse.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .channels import exact
 from .errors import DomainError, ResourceCapError
 from .ofs import divisors, prime_factors, totient
 
@@ -180,7 +180,8 @@ def _ratios(block: list, start: int, n: int, d: int, extra: int) -> tuple[list, 
 def _write(table: _Rows) -> str:
     """The bytes json.dumps writes for the table's document, each value "p/q"
     in lowest terms.  A row joins shared pieces, its head to the last digit
-    (opened by the previous row's close) and the tail on, with "p" and "/q"."""
+    (opened by the previous row's close) and the tail on, with "p" and "/q".
+    A value past the digit limit of str(int) is refused as a cap."""
     n, d, nums, den = table.n, table.d, table._nums, table._den
     seps = [","] * (d - 1) + ["],"] + [","] * table._extra
     heads = ['"],[[']
@@ -188,11 +189,14 @@ def _write(table: _Rows) -> str:
         heads = [f"{h}{a}{sep}" for h in heads for a in range(n)]
     tails = cycle([f'{a}{seps[-1]}"' for a in range(n)])
     gs = list(map(math.gcd, nums, repeat(den)))
-    over = {g: f"/{den // g}" for g in set(gs)}
     first = f'{{"n":{n},"d":{d},"{table._key}":[{heads[0][3:]}'
-    rows = zip(chain.from_iterable(map(repeat, heads, repeat(n))), tails,
-               map(str, map(operator.floordiv, nums, gs)), map(over.__getitem__, gs))
-    return "".join(chain([first], islice(chain.from_iterable(rows), 1, None), ['"]]}']))
+    try:
+        over = {g: f"/{den // g}" for g in set(gs)}
+        rows = zip(chain.from_iterable(map(repeat, heads, repeat(n))), tails,
+                   map(str, map(operator.floordiv, nums, gs)), map(over.__getitem__, gs))
+        return "".join(chain([first], islice(chain.from_iterable(rows), 1, None), ['"]]}']))
+    except ValueError as exc:
+        raise ResourceCapError(f"cannot write the {table._key}: {exc}") from None
 
 
 class _Rows:
@@ -269,12 +273,6 @@ class RadonImage(_Rows):
     def value(self, coeffs, c: int) -> Fraction:
         return Fraction(self._nums[_index(self.n, self.d + 1, [*coeffs, c % self.n])], self._den)
 
-    def perturbed(self, coeffs, c: int, delta) -> RadonImage:
-        p, q = Fraction(delta).as_integer_ratio()
-        nums = [num * q for num in self._nums]
-        nums[_index(self.n, self.d, coeffs) * self.n + c % self.n] += p * self._den
-        return RadonImage(self.n, self.d, nums, self._den * q)
-
     from_obj = classmethod(_parse)
     to_json = _write
 
@@ -316,6 +314,58 @@ def product_lift(weights_m: FunctionTable, weights_n: FunctionTable) -> Function
 
 
 # -- integer kernels ----------------------------------------------------------
+
+_INT64_SAFE = 2**62  # the bound on partial sums of the one-channel path
+
+
+def _moduli(bound: int, n: int, wmax: int) -> list[int]:
+    """Pairwise coprime odd moduli whose product exceeds 2 * bound, each the
+    largest odd number under the size limit that is coprime to those before.
+    A channel holds residues in [0, q): a partial sum adds at most n of them,
+    and a weight multiply scales one by the weight's symmetric residue, of
+    size at most min(wmax, q/2).  With q * max(n, min(wmax, 2^31)) <= 2^62
+    every value stays below 2^62: past wmax = 2^31, q <= 2^31 and q/2 * q
+    < 2^61."""
+    limit = _INT64_SAFE // max(n, min(wmax, 2**31))
+    out, prod, q = [], 1, (limit - 1) | 1
+    while prod <= 2 * bound:
+        if math.gcd(q, prod) == 1:
+            out.append(q)
+            prod *= q
+        q -= 2
+    return out
+
+
+def _crt(outs: list[list[int]], moduli: list[int]) -> list[int]:
+    """The integers in (-M/2, M/2) with residues `outs` modulo the pairwise
+    coprime odd `moduli`, M their product."""
+    m = math.prod(moduli)
+    half = m // 2
+    acc = repeat(half)  # shifts [0, M) onto (-M/2, M/2) below
+    for out, q in zip(outs, moduli):
+        basis = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod the others
+        acc = map(operator.add, acc, map(operator.mul, out, repeat(basis)))
+    return [y % m - half for y in acc]
+
+
+def _exact(kernel: Callable, nums, bound: int, n: int, wmax: int = 1) -> list[int]:
+    """Run kernel(g, q) on int64 arrays of the integers `nums` (a list or an
+    int64 array) and return its output as exact integers.  When `bound` caps
+    every partial sum below _INT64_SAFE, one channel runs on nums as they are,
+    with q = None.  Otherwise one channel runs per modulus q of `_moduli` on
+    nums mod q, the kernel reducing mod q as it goes, and each output, which
+    `bound` also caps, is rebuilt by CRT."""
+    if bound < _INT64_SAFE:
+        return kernel(np.asarray(nums, dtype=np.int64), None).tolist()
+    qs = _moduli(bound, n, wmax)
+    outs = []
+    for q in qs:
+        if isinstance(nums, np.ndarray):
+            g = nums % q
+        else:
+            g = np.array([x % q for x in nums], dtype=np.int64)
+        outs.append(kernel(g, q).tolist())
+    return _crt(outs, qs)
 
 
 def _reduced(g: np.ndarray, q: int | None) -> np.ndarray:
@@ -362,7 +412,7 @@ def forward(f: FunctionTable) -> RadonImage:
         return out.reshape(head, n, -1).swapaxes(1, 2).reshape(-1)  # (h1..hd, c) order
 
     # Each partial sum adds up distinct points of f.
-    return RadonImage(n, d, exact(sweep, f._nums, sum(map(abs, f._nums)), n), f._den)
+    return RadonImage(n, d, _exact(sweep, f._nums, sum(map(abs, f._nums)), n), f._den)
 
 
 def _backprojection(wnums: list[int], n: int, d: int) -> Callable:
@@ -370,7 +420,7 @@ def _backprojection(wnums: list[int], n: int, d: int) -> Callable:
     point order, from an image g in (h1..hd, c) order.  The adjoint sweep:
     `_step` with the opposite sign on d-1 axes, then a gather at residue 0
     on the last.  Mod q it multiplies by each weight's symmetric residue, as
-    `channels.moduli` assumes."""
+    `_moduli` assumes."""
     a = np.arange(n)
 
     def kernel(g: np.ndarray, q: int | None) -> np.ndarray:
@@ -405,7 +455,7 @@ def backproject(img: RadonImage, weights: FunctionTable) -> FunctionTable:
     # Each partial sum takes at most one weighted image entry per hom; the
     # bound also caps every weight, which the kernel holds too.
     bound = sum(map(abs, wnums)) * max(top, 1)
-    raw = exact(_backprojection(wnums, n, d), image, bound, n, max(map(abs, wnums)))
+    raw = _exact(_backprojection(wnums, n, d), image, bound, n, max(map(abs, wnums)))
     return FunctionTable(n, d, raw, img._den * weights._den)
 
 

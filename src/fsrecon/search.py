@@ -10,7 +10,6 @@ evidence rather than exhaustive.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -148,23 +147,6 @@ class ScanReport:
             "checked": self.checked,
             "min_violation_size": self.min_violation_size(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> ScanReport:
-        return cls(
-            group=GroupSpec.from_obj(obj["group"]),
-            max_size=obj["max_size"],
-            bound=obj["bound"],
-            violations=[
-                (Multiset.from_obj(a), Multiset.from_obj(b))
-                for a, b in obj["violations"]
-            ],
-            exhaustive=obj["exhaustive"],
-            checked=obj["checked"],
-        )
 
 
 def regularity_scan(

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from fractions import Fraction
 
 from fsrecon.cyclo import cyclotomic_poly
 from fsrecon.groups import GroupElement, GroupSpec
@@ -163,6 +164,16 @@ def rows_json_oracle(table) -> str:
     for row in rows:
         row[-1] = f"{row[-1].numerator}/{row[-1].denominator}"
     return json.dumps({"n": n, "d": d, key: rows}, separators=(",", ":"))
+
+
+def perturbed(img: RadonImage, coeffs, c: int, delta) -> RadonImage:
+    """img with delta added to its entry at (coeffs, c mod n), edited in the
+    file document."""
+    doc = json.loads(img.to_json())
+    for row in doc["entries"]:
+        if row[:2] == [list(coeffs), c % img.n]:
+            row[2] = str(Fraction(row[2]) + delta)
+    return RadonImage.from_obj(doc)
 
 
 def factorize_oracle(n: int) -> tuple[tuple[int, int], ...]:

@@ -123,10 +123,10 @@ def test_drawn_scan_arguments_keep_the_exit_contract(group, max_size, bound, bud
 
 
 # Sizes stay small enough that one run takes milliseconds: cyclo ranks
-# builds an SVD over phi(n) x n entries, and radon verify and bench
-# n^(d+1) entries.  The commands that take N also draw values past their
-# caps, which they refuse before doing any work; no draw lets counterexample
-# build near n = 10^6, which takes about 30 s.
+# builds an SVD over phi(n) x n entries, and radon verify n^(d+1) entries.
+# The commands that take N also draw values past their caps, which they
+# refuse before doing any work; no draw lets counterexample build near
+# n = 10^6, which takes about 30 s.
 N = st.integers(-2, 50) | st.sampled_from([1009, 16777215, 10**9, 10**18 + 3])
 
 
@@ -156,9 +156,6 @@ ARGUMENTS = st.one_of(
     _command(["cyclo", "ranks"], st.integers(-2, 21) | st.just(47)),
     st.tuples(st.integers(-1, 12), st.integers(-1, 3)).map(
         lambda nd: ["radon", "verify", "--n", str(nd[0]), "--d", str(nd[1])]
-    ),
-    st.tuples(st.integers(-1, 8), st.integers(-1, 3), st.integers(-1, 2)).map(
-        lambda t: ["radon", "bench", "--n", str(t[0]), "--d", str(t[1]), "--tables", str(t[2])]
     ),
 )
 

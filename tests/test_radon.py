@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from oracles import rows_json_oracle
+from oracles import perturbed, rows_json_oracle
 
 from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.radon import (
@@ -285,7 +285,7 @@ def test_round_trip_huge_weights():
 def test_invert_non_genuine_image_matches_oracle(delta):
     """`invert` does not validate its input: on an image that no table has,
     it still returns the closed-form weighted slice sums, exactly."""
-    img = forward(random_table(4, 2, random.Random(26))).perturbed((1, 3), 2, delta)
+    img = perturbed(forward(random_table(4, 2, random.Random(26))), (1, 3), 2, delta)
     assert invert(img) == weighted_slices_oracle(img, inversion_weights(4, 2))
 
 
@@ -303,7 +303,7 @@ def test_slice_locality():
     f = random_table(5, 2, rng)
     img = forward(f)
     h, c0 = (2, 3), 4
-    bumped = invert(img.perturbed(h, c0, Fraction(1, 3)))
+    bumped = invert(perturbed(img, h, c0, Fraction(1, 3)))
     base = invert(img)
     for x in iter_point_tuples(5, 2):
         if apply(h, x, 5) != c0:
@@ -359,7 +359,7 @@ def test_fourier_matches_value_at_zero():
 
 def test_fourier_detects_corrupt_image():
     f = random_table(5, 1, random.Random(22))
-    img = forward(f).perturbed((2,), 1, Fraction(1))
+    img = perturbed(forward(f), (2,), 1, Fraction(1))
     with pytest.raises(DomainError):
         fourier_invert_at_zero(img)
 
