@@ -189,7 +189,8 @@ def _bridge_group(n, size_cap, rng, random_pairs):
     by_sig: dict = {}
     # Every multiset of size <= size_cap once, with its subset sums.
     space = sums_space(group, size_cap, levels=size_cap + 1)
-    for seq, sums in search._walk(space, list(group.iter_elements()), size_cap):
+    elements = list(group.iter_elements())
+    for seq, sums in search._walk(elements, size_cap, space.start, search._steps(space, elements)):
         by_fs.setdefault(space.key(sums), set()).add(seq)
         by_sig.setdefault(cyclo.unit_signature(Multiset.from_elements(group, seq)), set()).add(seq)
     # The two partitions coincide iff subset-sums equality and the kernel

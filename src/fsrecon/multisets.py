@@ -3,8 +3,9 @@ sign-flip equivalences that subset sums cannot distinguish.
 
 The subset sums of A are the group-ring element prod_{a in A} (1 + t^a), and
 adding m copies of a multiplies by (1 + t^a)^m.  ``subset_sums``, the search
-module's walk and criterion 11 run that step through ``sums_space``, whose
-one predicate picks one of two encodings:
+module's walk and criterion 11 run that step, and the preimage search its
+inverse, a division by 1 + t^a, through ``sums_space``, whose one predicate
+picks one of two encodings:
 
 * over a finite group of at most 2^(s + 1) elements, s the largest size
   summed, so that the 2^s sums could fill half of it, and small enough that
@@ -14,7 +15,7 @@ one predicate picks one of two encodings:
   rotation by a, once per copy;
 * over a group with a Z factor (sparse sums such as those of {1, 10^9}
   would need a window of width 2 * 10^9) or a larger finite group, they
-  are a {GroupElement: count} map, extended by ``extend_subset_sums``.
+  are a ``_MapSums`` map from coordinate tuples to counts.
 
 Counts are exact Python integers, and ``GroupElement``s are built only when
 sums leave the space.  ``cyclo`` steps its unit words with ``VectorSums``.
@@ -42,7 +43,6 @@ __all__ = [
     "Multiset",
     "Sim0Witness",
     "VectorSums",
-    "extend_subset_sums",
     "sums_space",
     "sim_check",
     "sim0_check",
@@ -54,48 +54,79 @@ DEFAULT_SUBSET_SUMS_CAP = 24
 MAX_DISTINCT_SUMS = 2**20
 
 
-def extend_subset_sums(sums: Mapping[GroupElement, int], a: GroupElement, m: int = 1) -> dict:
-    """The {sum: count} map of A + m*{a} from that of A: multiply by
-    (1 + t^a)^m.  The i = 0 term carries every count over unchanged; term i
-    adds C(m, i) times each count at the sum shifted by i*a."""
-    out = dict(sums)
-    for i in range(1, m + 1):
-        shift, w = i * a, math.comb(m, i)
-        for y, c in sums.items():
-            z = y + shift
-            out[z] = out.get(z, 0) + c * w
-    return out
+def _halve(q: dict, after: dict) -> dict | None:
+    """q / (1 + t^a) for `a` of odd or infinite order, `after` mapping each
+    key x of q to x + a: the unique p with p[x] + p[x - a] = q[x], or None
+    when it is not a nonnegative integer vector.  Along a run x, x + a, ...
+    of q's support, p is q less p one step back, 0 before and after the run;
+    on a cycle of odd length inside the support, twice p before x is the
+    alternating sum q[x] - q[x + a] + q[x + 2a] - ... + q[x - a]."""
+    p: dict = {}
+    ends = set(after.values())
+    for x in sorted(q, key=ends.__contains__):  # the starts of runs first
+        if x in p:
+            continue
+        carry = 0
+        if x in ends:  # x lies on a cycle; an odd sum fails the last check
+            carry, y = q[x], after[x]
+            while y != x:
+                carry, y = q[y] - carry, after[y]
+            carry >>= 1
+        into, y = carry, x
+        while y in q and y not in p:
+            carry = p[y] = q[y] - carry
+            if carry < 0:
+                return None
+            y = after[y]
+        if carry != into:
+            return None
+    return p
 
 
 class _MapSums:
-    """Sums as {GroupElement: count} maps, extended by extend_subset_sums."""
+    """Sums as {coordinates: count} maps, whose step costs the number of
+    distinct sums; a shift is an element's coordinates."""
 
     def __init__(self, group: GroupSpec):
-        self.start = {group.zero(): 1}
+        mods = group.moduli
+        self.start = {(0,) * len(mods): 1}
+        self._add = lambda y, s: tuple([(u + v) % m if m else u + v for u, v, m in zip(y, s, mods)])
 
-    def shift(self, a: GroupElement) -> GroupElement:
-        return a
+    def step(self, sums: dict, shift: Sequence[int], m: int = 1) -> dict:
+        """sums times (1 + t^shift)^m: term i of the binomial adds C(m, i)
+        times each count at its sum moved by i*shift."""
+        out = dict(sums)
+        for i in range(1, m + 1):
+            move, w = [i * c for c in shift], math.comb(m, i)
+            for y, c in sums.items():
+                z = self._add(y, move)
+                out[z] = out.get(z, 0) + c * w
+        return out
 
-    def step(self, sums: dict, a: GroupElement, m: int = 1) -> dict:
-        return extend_subset_sums(sums, a, m)
+    def divide(self, sums: dict, shift: Sequence[int]) -> dict | None:
+        """sums / (1 + t^shift) for a shift of odd or infinite order, or None."""
+        if shift not in sums:
+            return None
+        p = _halve(sums, {y: self._add(y, shift) for y in sums})
+        return None if p is None else {y: c for y, c in p.items() if c}
 
     def key(self, sums: dict) -> frozenset:
         return frozenset(sums.items())
 
     def encode(self, ms: Multiset) -> dict:
-        return dict(ms.items())
+        return {x.coords: c for x, c in ms.items()}
 
     def counts(self, sums: dict) -> dict:
-        return sums
+        return sums  # Multiset coerces each coordinate tuple
 
     def fits(self, sums: dict, want: dict) -> bool:
-        return all(c <= want.get(x, 0) for x, c in sums.items())
+        return all(c <= want.get(y, 0) for y, c in sums.items())
 
 
 class VectorSums:
     """Sums as count vectors: lists of exact counts, one per element of the
-    finite `group` at its mixed-radix position.  The shift of an element is
-    its coordinates."""
+    finite `group` at its mixed-radix position; a shift is an element's
+    coordinates."""
 
     def __init__(self, group: GroupSpec):
         mods = group.moduli
@@ -103,25 +134,35 @@ class VectorSums:
         self._strides = [math.prod(mods[i + 1:]) for i in range(len(mods))]
         self.start = [1] + [0] * (math.prod(mods) - 1)
 
-    def shift(self, a: GroupElement) -> tuple:
-        return a.coords
+    def _roll(self, v: Sequence[int], shift: Sequence[int]) -> Sequence[int]:
+        """v with the count at each x moved to x + shift.  Moving c along an
+        axis of modulus q and stride s rotates every block of that axis, q*s
+        counts long, by c*s."""
+        for q, s, c in zip(self.group.moduli, self._strides, shift):
+            r, block = c % q * s, q * s
+            if r:
+                rolled = []
+                for start in range(0, len(v), block):
+                    cut = start + block - r
+                    rolled += v[cut:start + block]
+                    rolled += v[start:cut]
+                v = rolled
+        return v
 
     def step(self, v: list, shift: Sequence[int], m: int = 1) -> list:
-        """v times (1 + t^shift)^m: m times, v plus v rotated by `shift`.
-        Moving c along an axis of modulus q and stride s rotates every block
-        of that axis, q*s counts long, by c*s."""
-        rolls = [(q * s, c * s) for q, s, c in zip(self.group.moduli, self._strides, shift) if c]
+        """v times (1 + t^shift)^m: m times, v plus v rolled by `shift`."""
         for _ in range(m):
-            w = v
-            for block, r in rolls:
-                rolled = []
-                for start in range(0, len(w), block):
-                    cut = start + block - r
-                    rolled += w[cut:start + block]
-                    rolled += w[start:cut]
-                w = rolled
-            v = list(map(operator.add, v, w))
+            v = list(map(operator.add, v, self._roll(v, shift)))
         return v
+
+    def divide(self, v: list, shift: Sequence[int]) -> list | None:
+        """v / (1 + t^shift) for a shift of odd order, or None."""
+        if not v[sum(map(operator.mul, shift, self._strides))]:
+            return None
+        succ = self._roll(range(len(v)), [-c for c in shift])  # position of x + shift
+        q = dict(compress(enumerate(v), v))
+        p = _halve(q, dict(zip(q, map(succ.__getitem__, q))))
+        return None if p is None else [p.get(i, 0) for i in range(len(v))]
 
     def key(self, v: list) -> tuple:
         """The nonzero positions and their counts: as long as the number of
@@ -279,7 +320,7 @@ class Multiset:
                     f"subset sums could reach {reach} distinct values, "
                     f"over the cap {MAX_DISTINCT_SUMS}"
                 )
-            acc = space.step(acc, space.shift(a), m)
+            acc = space.step(acc, a.coords, m)
         return space, acc
 
     def subset_sums(self, cap: int = DEFAULT_SUBSET_SUMS_CAP) -> Multiset:
@@ -316,17 +357,19 @@ class Multiset:
             raise DomainError("elements must be a list of [[integer coordinates], integer count]")
         pairs = []
         for k, row in enumerate(rows):
+            at = f"elements[{k}]"
+            if type(row) is not list or len(row) != 2 or type(row[0]) is not list:
+                raise DomainError(f"{at}: expected [[integer coordinates], integer count]")
+            coords, count = row
+            for i, c in enumerate(coords):
+                if type(c) is not int:
+                    raise DomainError(f"{at}[0][{i}]: coordinate {c!r} is not an integer")
+            if type(count) is not int or count < 0:
+                raise DomainError(f"{at}[1]: count {count!r} is not a nonnegative integer")
             try:
-                if not (
-                    type(row) is list and len(row) == 2 and type(row[0]) is list
-                    and type(row[1]) is int and all(type(c) is int for c in row[0])
-                ):
-                    raise DomainError("expected [[integer coordinates], integer count]")
-                if row[1] < 0:
-                    raise DomainError(f"negative multiplicity {row[1]}")
-                pairs.append((group.element(row[0]), row[1]))
+                pairs.append((group.element(coords), count))
             except DomainError as exc:
-                raise DomainError(f"elements[{k}]: {exc}") from None
+                raise DomainError(f"{at}[0]: {exc}") from None
         return cls(group, pairs)
 
     def to_json(self) -> str:

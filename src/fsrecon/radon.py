@@ -135,21 +135,32 @@ def _fill(n: int, dims: int, rows: list, extra: int, where: str) -> tuple[list[i
             coeffs, *c, v = row
             if len(c) != extra:
                 raise DomainError(f"expected a row of {2 + extra} items")
-            i = _index(n, dims, [*coeffs, *c])
+            i = _index(n, dims - extra, coeffs) * n**extra + _index(n, extra, c)
             if type(v) not in (int, str, Fraction):
                 raise DomainError(f"value {v!r} is neither an integer nor a string")
             ratio = type(v) is str and _RATIO.fullmatch(v)  # skips building a Fraction
             nums[i], dens[i] = map(int, v.split("/")) if ratio else Fraction(v).as_integer_ratio()
-    except DomainError as exc:
-        raise DomainError(f"{where}[{k}]: {exc}") from None
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"{where}[{k}]: malformed entry: {exc}") from None
+    except (DomainError, TypeError, ValueError, ZeroDivisionError) as exc:
+        why = exc if isinstance(exc, DomainError) else f"malformed entry: {exc}"
+        raise DomainError(f"{where}[{k}]{_field(row, n, dims - extra, extra)}: {why}") from None
     if None in nums:
         raise DomainError(f"need exactly one entry for each of the {n}^{dims} points")
     qs = set(dens)
     den = math.lcm(*qs)
     scale = {q: den // q for q in qs}
     return list(map(operator.mul, nums, map(scale.__getitem__, dens))), den
+
+
+def _field(row, n: int, d: int, extra: int) -> str:
+    """The JSON path, under the row, of the first bad field of a refused row
+    [coords, *c, value]; empty when the row itself has the wrong shape."""
+    if not isinstance(row, (list, tuple)) or len(row) != 2 + extra:
+        return ""
+    if not isinstance(row[0], (list, tuple)) or len(row[0]) != d:
+        return "[0]"
+    ok = [type(a) is int and 0 <= a < n for a in [*row[0], *row[1:-1]]] + [False]
+    j = ok.index(False)
+    return f"[0][{j}]" if j < d else f"[{j - d + 1}]"
 
 
 def _ratios(block: list, start: int, n: int, d: int, extra: int) -> tuple[list, list] | None:

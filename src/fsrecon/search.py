@@ -10,6 +10,8 @@ evidence rather than exhaustive.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -39,28 +41,35 @@ def _bounded_elements(
     return [group.element(c) for c in itertools.islice(itertools.product(*ranges), limit)]
 
 
-def _walk(space, candidates: Sequence[GroupElement], length: int,
-          fits: Callable | None = None) -> Iterator[tuple[tuple, object]]:
-    """Depth first over the nondecreasing sequences of candidates of length 0
-    to ``length``, yielding (sequence, subset sums) in lexicographic preorder,
-    the sums encoded by ``space`` (from ``sums_space``, which should allow
-    ``length + 1`` levels: the walk holds one set of sums per level).  Each
-    node extends its parent's sums by one step; a node whose sums fail
-    ``fits`` is skipped together with its subtree.  The stack is explicit,
-    so the depth is not bounded by the recursion limit."""
-    shifts = [space.shift(a) for a in candidates]
-    yield (), space.start
-    stack = [(0, (), space.start)]  # (next candidate index, sequence, its sums)
+def _walk(candidates: Sequence[GroupElement], length: int, start,
+          children: Callable) -> Iterator[tuple[tuple, object]]:
+    """Depth first over nondecreasing sequences of candidates of length 0 to
+    ``length``, yielding (sequence, state) in lexicographic preorder from the
+    root ((), start).  ``children(state, i)`` yields (j, child state) for
+    the children of a node whose sequence ends at candidate i (0 at the
+    root), with j >= i increasing; a child it leaves out is pruned with its
+    subtree.  The stack is explicit, so the depth is not bounded by the
+    recursion limit."""
+    yield (), start
+    stack = [((), children(start, 0))] if length else []
     while stack:
-        i, seq, sums = stack.pop()
-        if i == len(candidates) or len(seq) == length:
-            continue
-        stack.append((i + 1, seq, sums))
-        nxt = space.step(sums, shifts[i])
-        if fits is None or fits(nxt):
-            child = seq + (candidates[i],)
-            yield child, nxt
-            stack.append((i, child, nxt))
+        seq, kids = stack[-1]
+        for j, state in kids:
+            child = seq + (candidates[j],)
+            yield child, state
+            if len(child) < length:
+                stack.append((child, children(state, j)))
+            break
+        else:
+            stack.pop()
+
+
+def _steps(space, candidates: Sequence[GroupElement]) -> Callable:
+    """_walk's children over the subset sums encoded by ``space`` (from
+    ``sums_space``, allowing a level per node on the stack, ``length + 1``):
+    every candidate from i on, with the node's sums times 1 + t^candidate."""
+    shifts = [a.coords for a in candidates]
+    return lambda sums, i: ((j, space.step(sums, shifts[j])) for j in range(i, len(shifts)))
 
 
 def _check_bound(bound: int | None) -> None:
@@ -72,11 +81,15 @@ def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multis
     """All multisets whose subset sums equal the target, grouped into
     zero-flip equivalence classes, deterministically ordered.
 
-    Candidates are drawn from the support of the target (every element of a
-    preimage is itself a one-element subset sum).  A partial candidate is
-    dropped as soon as its own subset sums exceed the target anywhere, and a
-    complete one is kept when its subset sums equal the target.  Preimages
-    larger than DEFAULT_SUBSET_SUMS_CAP are refused.
+    Candidates are the target's support (each element of a preimage is a
+    one-element subset sum), within the bound on Z coordinates if one is
+    given.  A node holds the target divided by 1 + t^a for its elements a
+    of odd or infinite order, a unique quotient that must stay a
+    nonnegative integer vector, and the subset sums of its elements of even
+    order, whose quotient is not unique, which must fit inside it.  Over Z^k
+    a node's next element is plus or minus the gap between its quotient's
+    two least sums, so Z needs no bound.  Preimages larger than
+    DEFAULT_SUBSET_SUMS_CAP are refused.
     """
     _check_bound(bound)
     group = target.group
@@ -94,15 +107,40 @@ def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multis
         if bound is None
         or all(mod or -bound <= c <= bound for c, mod in zip(x.coords, group.moduli))
     ]
-    space = sums_space(group, m, levels=m + 1)
-    want = space.encode(target)
-    # A full-size node that fits has 2^m counts, none above the target's,
-    # which also total 2^m: its subset sums are the target.
-    return _flip_classes([
-        Multiset.from_elements(group, seq)
-        for seq, _ in _walk(space, candidates, m, lambda sums: space.fits(sums, want))
-        if len(seq) == m
-    ])
+    peel = bool(group.moduli) and not any(group.moduli)
+    if peel:  # Over Z^k, by absolute value, -x before x.
+        candidates.sort(key=lambda x: (max(x.coords, (-x).coords), x.coords))
+        index = {x.coords: j for j, x in enumerate(candidates)}
+    space = sums_space(group, m, levels=2 * m + 2)
+    shifts = [a.coords for a in candidates]
+    # Elements of finite even order, whose quotient is not unique.
+    even = [all(c == 0 for c, q in zip(a.coords, group.moduli) if not q)
+            and any(q // math.gcd(c, q) % 2 == 0 for c, q in zip(a.coords, group.moduli) if q)
+            for a in candidates]
+
+    def children(node, i):
+        quotient, sums = node
+        js = range(i, len(candidates))
+        if peel:  # plus or minus the gap between the two least sums
+            low = min(quotient)
+            gap = ([0] * len(low) if quotient[low] > 1
+                   else list(map(operator.sub, min(quotient.keys() - {low}), low)))
+            js = sorted({index[g] for g in (tuple(gap), tuple(-u for u in gap))
+                         if index.get(g, -1) >= i})
+        for j in js:
+            if even[j]:
+                q, s = quotient, space.step(sums, shifts[j])
+            else:
+                q, s = space.divide(quotient, shifts[j]), sums
+            if q is not None and space.fits(s, q):
+                yield j, (q, s)
+
+    # A full-size node has quotient and sums of equal total, the second
+    # fitting inside the first: they are equal, so its product is the target.
+    start = space.encode(target), space.start
+    found = [seq for seq, _ in _walk(candidates, m, start, children) if len(seq) == m]
+    found.sort(key=lambda seq: sorted(x.coords for x in seq))
+    return _flip_classes([Multiset.from_elements(group, seq) for seq in found])
 
 
 def _flip_classes(members: list[Multiset]) -> list[list[Multiset]]:
@@ -175,7 +213,7 @@ def regularity_scan(
     # ends the scan as non-exhaustive, use only the first budget + 1 candidates.
     elements = _bounded_elements(group, bound, None if budget is None else budget + 1)
     space = sums_space(group, max_size, levels=max_size + 1)
-    for seq, sums in _walk(space, elements, max_size):
+    for seq, sums in _walk(elements, max_size, space.start, _steps(space, elements)):
         if not seq:
             continue
         if budget is not None and report.checked >= budget:

@@ -106,16 +106,11 @@ def scan_oracle(
     return len(sets), violations
 
 
-def preimages_oracle(target: Multiset, bound: int | None = None) -> list[list[Multiset]]:
-    """Every multiset of the right size over the whole group (or the box)
-    whose brute-force subset sums equal the target, in enumeration order,
-    grouped by sim0_oracle against the first member of each class."""
-    size = target.cardinality.bit_length() - 1
+def _sim0_classes(members: list[Multiset]) -> list[list[Multiset]]:
+    """Members grouped by sim0_oracle against the first member of each
+    class, in order of first member."""
     classes: list[list[Multiset]] = []
-    for combo in itertools.combinations_with_replacement(_box(target.group, bound), size):
-        cand = Multiset.from_elements(target.group, combo)
-        if fs_bruteforce(cand) != target:
-            continue
+    for cand in members:
         for cls in classes:
             if sim0_oracle(cls[0], cand):
                 cls.append(cand)
@@ -123,6 +118,50 @@ def preimages_oracle(target: Multiset, bound: int | None = None) -> list[list[Mu
         else:
             classes.append([cand])
     return classes
+
+
+def preimages_oracle(target: Multiset, bound: int | None = None) -> list[list[Multiset]]:
+    """Every multiset of the right size over the whole group (or the box)
+    whose brute-force subset sums equal the target, in enumeration order,
+    grouped by sim0_oracle against the first member of each class."""
+    size = target.cardinality.bit_length() - 1
+    return _sim0_classes([
+        cand
+        for combo in itertools.combinations_with_replacement(_box(target.group, bound), size)
+        if fs_bruteforce(cand := Multiset.from_elements(target.group, combo)) == target
+    ])
+
+
+def preimages_by_fits(target: Multiset, bound: int | None = None) -> list[list[Multiset]]:
+    """The preimages of a subset-sums target by pruned enumeration: every
+    nondecreasing sequence of the target's support elements (those within
+    the bound on Z coordinates), in lexicographic coordinate order, grown one
+    element at a time on a plain {sum: count} dict and dropped as soon as its
+    own subset sums exceed the target anywhere.  A full-size sequence that
+    fits has as many sums as the target, so its sums are the target.  The
+    preimages are grouped as preimages_oracle groups them."""
+    group = target.group
+    size = target.cardinality.bit_length() - 1
+    want = dict(target.items())
+    support = [
+        x for x in target.support()
+        if bound is None or all(m or abs(c) <= bound for c, m in zip(x.coords, group.moduli))
+    ]
+    found = []
+
+    def grow(seq: list, sums: dict, i: int) -> None:
+        if len(seq) == size:
+            found.append(Multiset.from_elements(group, seq))
+            return
+        for j in range(i, len(support)):
+            nxt = dict(sums)
+            for y, c in sums.items():
+                nxt[y + support[j]] = nxt.get(y + support[j], 0) + c
+            if all(c <= want.get(y, 0) for y, c in nxt.items()):
+                grow(seq + [support[j]], nxt, j)
+
+    grow([], {group.zero(): 1}, 0)
+    return _sim0_classes(found)
 
 
 def all_small_groups(max_size: int) -> list[GroupSpec]:

@@ -417,13 +417,35 @@ def test_radon_denominator_past_the_digit_limit_exits_3(tmp_path, capsys):
     "row", [[[1, 2], 1], [[1], -1], [[1], 1.5], [["1"], 1], [[1], 1, 1], "[[1],1]"]
 )
 def test_malformed_multiset_rows_are_named_by_their_json_path(tmp_path, capsys, row):
+    """The error names the bad field inside the row, or the row when its
+    shape is wrong."""
+    where = {
+        "[[1, 2], 1]": "elements[3][0]: expected 1 coordinates",
+        "[[1], -1]": "elements[3][1]: count -1 ",
+        "[[1], 1.5]": "elements[3][1]: count 1.5 ",
+        '[["1"], 1]': "elements[3][0][0]: coordinate '1' ",
+        "[[1], 1, 1]": "elements[3]: expected ",
+        '"[[1],1]"': "elements[3]: expected ",
+    }[json.dumps(row)]
     rows = [[[0], 1], [[1], 2], [[2], 1], row, [[4], 1]]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"group": {"moduli": [5]}, "elements": rows}))
     code = main(["fs", "--in", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: elements[3]: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {where}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "row, where", [([[1, "x"], 1], "elements[1][0][1]: "), ([[1, 1], 1.5], "elements[1][1]: ")]
+)
+def test_a_bad_field_of_a_two_coordinate_row_is_named(tmp_path, capsys, row, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"group": {"moduli": [3, 0]}, "elements": [[[0, 0], 1], row]}))
+    code = main(["fs", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {where}") and captured.err.count("\n") == 1
 
 
 def test_malformed_rows_are_named_by_their_json_path(tmp_path, capsys):
@@ -432,8 +454,8 @@ def test_malformed_rows_are_named_by_their_json_path(tmp_path, capsys):
     image = json.loads(forward(random_table(2, 2, random.Random(4))).to_json())
     image["entries"][5][2] = "1/0"
     for command, doc, prefix in (
-        ("forward", table, "error: values[17]: coordinate 1.5 is not an integer in [0, 48)"),
-        ("invert", image, "error: entries[5]: malformed entry: "),
+        ("forward", table, "error: values[17][0][0]: coordinate 1.5 is not an integer in [0, 48)"),
+        ("invert", image, "error: entries[5][2]: malformed entry: "),
     ):
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(doc))
@@ -688,6 +710,17 @@ def test_search_invert_fs(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert len(obj["classes"]) == 2
+
+
+def test_search_invert_fs_over_z_without_a_bound(tmp_path, capsys):
+    rng = random.Random(16)
+    source = Multiset.from_elements(cyclic(0), [rng.randint(-50, 50) for _ in range(16)])
+    path = tmp_path / "fs.json"
+    path.write_text(source.subset_sums().to_json())
+    code, out = run(capsys, "--json", "search", "invert-fs", "--in", str(path))
+    assert code == 0
+    classes = json.loads(out)["classes"]
+    assert any(source.to_obj() in cls for cls in classes)
 
 
 def test_selftest_quick(capsys):

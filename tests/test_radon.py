@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -449,7 +450,7 @@ def test_a_late_block_out_of_order_parses_and_names_its_rows():
     rows[1200], rows[1300] = rows[1300], rows[1200]
     assert RadonImage.from_obj(doc) == img
     rows[1701][0] = [1.5, 0]
-    with pytest.raises(DomainError, match=r"^entries\[1701\]: coordinate 1.5 is not"):
+    with pytest.raises(DomainError, match=r"^entries\[1701\]\[0\]\[0\]: coordinate 1.5 is not"):
         RadonImage.from_obj(doc)
     rows[1701] = rows[0]
     with pytest.raises(DomainError, match="need exactly one entry"):
@@ -460,7 +461,7 @@ def test_a_late_block_out_of_order_parses_and_names_its_rows():
 def test_a_value_past_the_digit_limit_is_refused_at_its_row():
     doc = json.loads(forward(random_table(12, 2, random.Random(30))).to_json())
     doc["entries"][1700][2] = "1/" + "1" * (sys.get_int_max_str_digits() + 1)
-    with pytest.raises(DomainError, match=r"^entries\[1700\]: malformed entry"):
+    with pytest.raises(DomainError, match=r"^entries\[1700\]\[2\]: malformed entry"):
         RadonImage.from_obj(doc)
 
 
@@ -468,8 +469,40 @@ def test_rows_that_only_flatten_to_the_canonical_keys_are_refused():
     doc = json.loads(forward(random_table(3, 2, random.Random(29))).to_json())
     rows = doc["entries"]
     rows[0][0], rows[1][0] = [0, 0, 0], [0]
-    with pytest.raises(DomainError, match=r"^entries\[0\]: expected 3 coordinates"):
+    with pytest.raises(DomainError, match=r"^entries\[0\]\[0\]: expected 2 coordinates"):
         RadonImage.from_obj(doc)
+
+
+_TABLE_ROWS = [[[x], "1/2"] for x in range(3)]
+_IMAGE_ROWS = [[[h], c, "1/3"] for h in range(3) for c in range(3)]
+
+
+@pytest.mark.parametrize(
+    "cls, rows, k, field, value, path",
+    [
+        (FunctionTable, _TABLE_ROWS, 1, 0, [1.5], "values[1][0][0]"),
+        (FunctionTable, _TABLE_ROWS, 2, 1, "1/0", "values[2][1]"),
+        (FunctionTable, _TABLE_ROWS, 1, 0, [1, 0], "values[1][0]"),
+        (FunctionTable, _TABLE_ROWS, 1, None, [[1], "1/2", 3], "values[1]"),
+        (RadonImage, _IMAGE_ROWS, 4, 0, ["1"], "entries[4][0][0]"),
+        (RadonImage, _IMAGE_ROWS, 4, 1, 3, "entries[4][1]"),
+        (RadonImage, _IMAGE_ROWS, 4, 2, None, "entries[4][2]"),
+    ],
+    ids=["coordinate", "value", "coordinate-count", "row-length",
+         "image-coefficient", "image-residue", "image-value"],
+)
+def test_a_refused_row_names_its_bad_field(cls, rows, k, field, value, path):
+    """Out of canonical order, rows are parsed one by one, and an error names
+    the JSON path of the first bad field in the row, or the row when its
+    shape is wrong."""
+    rows = json.loads(json.dumps(rows))
+    if field is None:
+        rows[k] = value
+    else:
+        rows[k][field] = value
+    key = "values" if cls is FunctionTable else "entries"
+    with pytest.raises(DomainError, match="^" + re.escape(path) + ": "):
+        cls.from_obj({"n": 3, "d": 1, key: rows})
 
 
 def test_hand_written_values_parse():
@@ -481,7 +514,7 @@ def test_hand_written_values_parse():
 
 def test_a_value_holding_two_ratios_is_refused_at_its_row():
     rows = [[[0], "1/2"], [[1], "1/2\n3/4"], [[2], "5/6"]]
-    with pytest.raises(DomainError, match=r"^values\[1\]: malformed entry"):
+    with pytest.raises(DomainError, match=r"^values\[1\]\[1\]: malformed entry"):
         FunctionTable.from_obj({"n": 3, "d": 1, "values": rows})
 
 

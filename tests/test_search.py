@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.groups import GroupSpec, cyclic
 from fsrecon.multisets import Multiset, sim0_check
 from fsrecon.search import fs_preimages, regularity_scan, verify_add_subset_sums
-from oracles import fs_bruteforce, preimages_oracle, scan_oracle
+from oracles import fs_bruteforce, preimages_by_fits, preimages_oracle, scan_oracle
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -117,6 +118,58 @@ def test_preimages_match_bruteforce_oracle(group, bound):
     targets += [draw(size) for size in (2, 4, 8) for _ in range(2)]
     for target in targets:
         assert fs_preimages(target, bound=bound) == preimages_oracle(target, bound)
+
+
+def _draw(group, rng, spread):
+    """A random element: any residue on a finite factor, an integer in
+    [-spread, spread] on a Z factor."""
+    return tuple(rng.randrange(m) if m else rng.randint(-spread, spread) for m in group.moduli)
+
+
+@pytest.mark.parametrize(
+    "moduli, bound, spread, sizes",
+    [((0,), None, 50, 5), ((13,), None, 0, 6), ((31,), None, 0, 5), ((257,), None, 0, 4),
+     ((3, 3), None, 0, 5), ((4,), None, 0, 5), ((6,), None, 0, 5), ((2, 3), None, 0, 5),
+     ((3, 0), 2, 4, 4)],
+    ids=["Z", "Z13", "Z31", "Z257", "Z3xZ3", "Z4", "Z6", "Z2xZ3", "Z3xZ"],
+)
+def test_preimages_match_the_fits_enumeration(moduli, bound, spread, sizes):
+    """Byte for byte the classes that the enumeration pruned by fits finds:
+    the division's quotients where it is unique, fits where it is not (the
+    groups with elements of even order), and the bound on mixed groups,
+    drawn past it.  Seeded subset-sums targets of every size up to `sizes`,
+    plus random multisets of 4 and 8 elements from a few values, which are
+    mostly not subset sums of anything."""
+    group = GroupSpec(moduli)
+    rng = random.Random(sum(moduli) + 41)
+    targets = [
+        Multiset.from_elements(group, [_draw(group, rng, spread) for _ in range(size)]).subset_sums()
+        for size in range(sizes + 1) for _ in range(3)
+    ]
+    few = [_draw(group, rng, 2) for _ in range(3)]
+    targets += [Multiset.from_elements(group, rng.choices(few, k=k)) for k in (4, 8) for _ in range(3)]
+    for target in targets:
+        got, want = fs_preimages(target, bound=bound), preimages_by_fits(target, bound)
+        assert [[m.to_json() for m in c] for c in got] == [[m.to_json() for m in c] for c in want]
+
+
+@pytest.mark.parametrize(
+    "moduli, size, values",
+    [((31,), 10, range(31)), ((257,), 8, range(257)), ((0,), 16, range(-50, 51))],
+    ids=["Z31-size10", "Z257-size8", "Z-size16"],
+)
+def test_preimage_search_is_not_exponential(moduli, size, values):
+    """Far past the sizes the enumeration can reach (it grew about 15x per
+    element): one seeded target each, found with its source, Z without a
+    bound."""
+    group = GroupSpec(moduli)
+    rng = random.Random(size)
+    source = Multiset.from_elements(group, [(rng.choice(values),) for _ in range(size)])
+    start = time.perf_counter()
+    classes = fs_preimages(source.subset_sums())
+    assert time.perf_counter() - start < 5
+    assert any(source in cls for cls in classes)
+    assert all(cls[0].subset_sums() == source.subset_sums() for cls in classes)
 
 
 # -- regularity scans -----------------------------------------------------------------
