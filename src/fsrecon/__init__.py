@@ -7,7 +7,6 @@ Library surface, one module per concern:
 * ``multisets``     -- multisets, subset sums, sign-flip equivalences
 * ``ofs``           -- the odd moduli covered by plus/minus powers of two
 * ``counterexamples`` -- equal-subset-sums pairs that are not flip equivalent
-* ``linalg``        -- exact rational rank
 * ``radon``         -- discrete Radon transform on (Z/nZ)^d and its inverses
 * ``cyclo``         -- exact cyclotomic arithmetic and unit-relation checks
 * ``search``        -- brute-force oracles and regularity scans

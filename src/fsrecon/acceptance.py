@@ -231,10 +231,9 @@ def _c12_rank_checks(quick, rng, corrupt):
         if not surj["surjective"] or not kern["consistent"]:
             return False, f"exact rank check failed at n = {n}"
         details.append(kern["lattice_rank"])
-        if n >= 3:
-            unit = cyclo.unit_group_rank_numeric(n)
-            if not unit["consistent"]:
-                return False, f"numeric unit rank off at n = {n}: {unit}"
+        unit = cyclo.unit_group_rank(n)
+        if not unit["consistent"]:
+            return False, f"unit rank not certified at n = {n}: {unit}"
     return True, f"kernel ranks {details} for n in {list(moduli)}"
 
 
@@ -289,7 +288,7 @@ CRITERIA: list[tuple[int, str, Callable]] = [
     (9, "character-sum inverse agrees with weighted inverse", _c09_fourier_oracle),
     (10, "distribution relations hold exactly", _c10_distribution_relations),
     (11, "subset-sums equality equals the kernel test", _c11_fs_kernel_bridge),
-    (12, "exact and numeric rank certificates", _c12_rank_checks),
+    (12, "exact and interval rank certificates", _c12_rank_checks),
     (13, "regularity scans match the classification", _c13_regularity_scans),
     (14, "translation by subset sums cancels", _c14_translation_cancellation),
 ]

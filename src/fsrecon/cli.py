@@ -121,6 +121,10 @@ def _cmd_radon(args) -> int:
     from . import radon
     if args.action == "forward":
         table = radon.FunctionTable.from_obj(_read_json(args.infile))
+        try:  # the image's entry at the zero homomorphism and residue 0
+            str(table.total())
+        except ValueError as exc:  # past the digit limit of str(int)
+            raise ResourceCapError(f"cannot write the entries: {exc}") from None
         _write_text(args.out, radon.forward(table).to_json())
         return 0
     if args.action == "invert":
@@ -169,9 +173,8 @@ def _cmd_cyclo(args) -> int:
     if member:
         kern = cyclo.kernel_rank_check(args.n)
         checks.append({"name": "kernel_rank", **kern, "pass": kern["consistent"]})
-        if args.n >= 3:
-            unit = cyclo.unit_group_rank_numeric(args.n)
-            checks.append({"name": "unit_rank_numeric", **unit, "pass": unit["consistent"]})
+        unit = cyclo.unit_group_rank(args.n)
+        checks.append({"name": "unit_rank", **unit, "pass": unit["consistent"]})
     ok = all(c["pass"] for c in checks)
     obj = {"n": args.n, "member": member, "checks": checks, "pass": ok}
     lines = [f"{c['name']}: pass={c['pass']}" for c in checks]

@@ -23,19 +23,20 @@ The rank checks at the bottom certify, for odd n:
   the inductive construction behind that fact is not reproduced here),
 * that the explicit antisymmetric lattice of flip vectors has rank (n-1)/2
   and sits inside the kernel of every divisor evaluation,
-* numerically, via the logarithmic embedding, that the generators span a
-  multiplicative group of rank phi(n)/2 (advisory check, floating point).
+* on interval enclosures of the logarithmic embedding, that the generators
+  span a multiplicative group of rank phi(n)/2.  One Gauss-Jordan routine,
+  ``_rank``, computes every rank here, on rationals or on intervals.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, ResourceCapError
 from .groups import cyclic
-from .linalg import rational_rank
 from .multisets import VectorSums
 from .ofs import divisors, is_member, prime_factors, totient
 
@@ -52,21 +53,20 @@ __all__ = [
     "sim0_lattice_basis",
     "projection_surjectivity_check",
     "kernel_rank_check",
-    "unit_group_rank_numeric",
+    "unit_group_rank",
 ]
 
 # Largest n the rank certificates accept, the largest n whose distribution
 # relations are checked (checking them all takes on the order of n^3 steps),
 # the largest n kernel_test accepts, the bound on d*m^2 for one product of m
 # unit factors over conductor d (m passes of adds over d counts of up to m
-# bits) and on its sum over the words of one kernel test, and the working
-# precision and singular-value cutoff of the numeric unit-rank check.
+# bits) and on its sum over the words of one kernel test, and the interval
+# precision of the unit-rank certificate (enough for every n <= RANK_CAP).
 RANK_CAP = 45
 DISTRIBUTION_CAP = 255
 KERNEL_TEST_CAP = 4095
 UNIT_WORD_CAP = 2**32
 RANK_PRECISION_BITS = 100
-RANK_TOLERANCE = 1e-8
 
 
 @lru_cache(maxsize=None)
@@ -276,6 +276,40 @@ def sim0_lattice_basis(n: int) -> list[tuple[int, ...]]:
     return basis
 
 
+def _rank(m: list[list], size: Callable) -> int:
+    """The pivot count of Gauss-Jordan elimination on the rows `m`, reduced in
+    place, each column's pivot the remaining entry of largest size(x), which
+    is 0 unless x is certified nonzero.  On exact entries it is the rank.  On
+    intervals, each enclosing the entry exact elimination with the same
+    pivots reaches, it is a lower bound.  Only exact zeros are skipped
+    (intervals are truthy)."""
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot, best = None, 0
+        for r in range(rank, len(m)):
+            s = size(m[r][col])
+            if s > best:
+                pivot, best = r, s
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def _exact_rank(rows: list[list[int]]) -> int:
+    """The rank over Q; the largest numerator as pivot keeps fractions small."""
+    return _rank([[Fraction(x) for x in row] for row in rows], lambda x: abs(x.numerator))
+
+
 def projection_surjectivity_check(n: int) -> dict:
     """Certify by exact rank that the per-divisor index-folding map covers,
     over the rationals, the whole product of divisor spaces modulo their
@@ -310,8 +344,8 @@ def projection_surjectivity_check(n: int) -> dict:
                 for i, e in enumerate(rel):
                     col[offsets[d] + i] = e
                 relation_cols.append(col)
-    rank_stacked = rational_rank(image_cols + relation_cols)
-    rank_relations = rational_rank(relation_cols) if relation_cols else 0
+    rank_stacked = _exact_rank(image_cols + relation_cols)
+    rank_relations = _exact_rank(relation_cols)
     rank = rank_stacked - rank_relations
     codomain_dim = total - rank_relations
     return {
@@ -332,7 +366,7 @@ def kernel_rank_check(n: int) -> dict:
             f"kernel rank equals (n-1)/2 only for covered moduli; {n} is not one"
         )
     basis = sim0_lattice_basis(n)
-    rank = rational_rank(basis) if basis else 0
+    rank = _exact_rank(basis)
     expected = (n - 1) // 2
     basis_ok = all(
         sim0_lattice_member(n, v) and kernel_test(n, v) for v in basis
@@ -345,34 +379,30 @@ def kernel_rank_check(n: int) -> dict:
     }
 
 
-def unit_group_rank_numeric(n: int) -> dict:
-    """Advisory numeric check of the multiplicative rank of the generators
-    1 + w^j via the logarithmic embedding.
-
-    Builds log|sigma(1 + w^j)| over all embeddings sigma at
-    RANK_PRECISION_BITS and counts singular values above RANK_TOLERANCE.  The
-    expected rank is phi(n)/2 for covered n >= 3 and 1 for n = 1.
-    """
-    from mpmath import mp
+def unit_group_rank(n: int) -> dict:
+    """Certify the multiplicative rank of the generators 1 + w^j by their
+    logarithmic embedding: row a, for each unit 1 <= a <= n/2 (just [log 2]
+    for n = 1), holds log|1 + w^(a j)| = log(2 |cos(pi a j / n)|) for j in
+    Z/n.  Rows a and n - a are equal, so the row count phi(n)/2 bounds the
+    rank above; the pivots `_rank` certifies on intervals at
+    RANK_PRECISION_BITS bound it below, and prove it when they reach it."""
+    from mpmath.ctx_iv import MPIntervalContext
 
     if n % 2 == 0 or n < 1:
         raise DomainError(f"n must be odd and positive, got {n}")
     if n > RANK_CAP:
-        raise ResourceCapError(f"numeric rank check capped at {RANK_CAP}")
-    with mp.workprec(RANK_PRECISION_BITS):
-        embeddings = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
-        mat = mp.matrix(len(embeddings), n)
-        for i, a in enumerate(embeddings):
-            for j in range(n):
-                # |1 + exp(2 pi i a j / n)| = 2 |cos(pi a j / n)|, never zero
-                # for odd n.
-                mat[i, j] = mp.log(2 * abs(mp.cospi(mp.mpf(a * j) / n)))
-        singular = mp.svd_r(mat, compute_uv=False)
-        numeric_rank = sum(1 for s in singular if s > RANK_TOLERANCE)
-    expected = 1 if n == 1 else totient(n) // 2
+        raise ResourceCapError(f"unit rank check capped at {RANK_CAP}")
+    iv = MPIntervalContext()
+    iv.prec = RANK_PRECISION_BITS
+    # |cos(pi k / n)| depends only on min(k, n - k) for k = a j mod n, and is
+    # never 0 for odd n.
+    logs = [iv.log(2 * abs(iv.cos(iv.pi * k / n))) for k in range(n // 2 + 1)]
+    units = [a for a in range(1, n // 2 + 1) if math.gcd(a, n) == 1] or [1]
+    rows = [[logs[min(a * j % n, -a * j % n)] for j in range(n)] for a in units]
+    rank = _rank(rows, lambda x: abs(x).a)
     return {
         "n": n,
-        "numeric_rank": numeric_rank,
-        "expected": expected,
-        "consistent": numeric_rank == expected,
+        "rank": rank,
+        "expected": len(units),
+        "consistent": rank == len(units),
     }

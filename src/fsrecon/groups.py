@@ -66,10 +66,16 @@ class GroupSpec:
         return {"moduli": list(self.moduli)}
 
     @classmethod
-    def from_obj(cls, obj: dict) -> GroupSpec:
-        moduli = obj.get("moduli") if isinstance(obj, dict) else None
-        if type(moduli) is not list or any(type(m) is not int for m in moduli):
-            raise DomainError("group object must be {'moduli': [integers]}")
+    def from_obj(cls, obj: dict, at: str = "") -> GroupSpec:
+        """Parse {"moduli": [...]}; an error names the bad value's path after `at`."""
+        if not isinstance(obj, dict):
+            raise DomainError(f"{at.rstrip('.') or 'group'}: expected {{'moduli': [integers]}}")
+        moduli = obj.get("moduli")
+        if type(moduli) is not list:
+            raise DomainError(f"{at}moduli: expected a list of integers, got {moduli!r}")
+        for i, m in enumerate(moduli):
+            if type(m) is not int or m < 0:
+                raise DomainError(f"{at}moduli[{i}]: modulus {m!r} is not a nonnegative integer")
         return cls(moduli)
 
 

@@ -351,7 +351,7 @@ class Multiset:
         """Parse a document whose coordinates and counts are JSON integers."""
         if not isinstance(obj, dict):
             raise DomainError("a multiset must be a JSON object with keys group and elements")
-        group = GroupSpec.from_obj(obj.get("group", {}))
+        group = GroupSpec.from_obj(obj.get("group", {}), "group.")
         rows = obj.get("elements", [])
         if type(rows) is not list:
             raise DomainError("elements must be a list of [[integer coordinates], integer count]")

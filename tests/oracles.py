@@ -282,3 +282,19 @@ def unit_word_oracle(d: int, e) -> tuple[tuple, tuple]:
         return acc
 
     return product(e), product([-x for x in e])
+
+
+def prime_unit_rank_oracle(p: int) -> int:
+    """The rank of the units 1 + w^j, j in Z/p, for an odd prime p, by
+    character theory: one for log 2 (the j = 0 column) plus one for each of
+    the (p - 1)/2 even characters chi of (Z/p)* with chi(2) != 1.  An even
+    character has chi(2) = 1 iff it is trivial on <2, -1>, and the index of
+    that subgroup counts those.  The subgroup is closed up by naive
+    multiplication."""
+    group = {1}
+    while True:
+        grown = group | {x * g % p for x in group for g in (2, p - 1)}
+        if grown == group:
+            break
+        group = grown
+    return (p - 1) // 2 - (p - 1) // len(group) + 1

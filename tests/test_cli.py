@@ -413,6 +413,54 @@ def test_radon_denominator_past_the_digit_limit_exits_3(tmp_path, capsys):
     assert captured.err.startswith("resource error: ") and captured.err.count("\n") == 1
 
 
+def test_radon_forward_refuses_an_unwritable_image_before_the_kernel(tmp_path, capsys):
+    """1/p over 729 distinct 7-digit primes: every value parses, but the
+    image's entry at the zero homomorphism, the total, has a denominator
+    of about 5,000 digits.  The sweep would run for tens of seconds before
+    the writer refused it."""
+    sieve = bytearray([1]) * 1_100_000
+    for p in range(2, 1049):
+        sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
+    primes = [p for p in range(10**6, len(sieve)) if sieve[p]][:729]
+    values = [[[i // 27, i % 27], f"1/{p}"] for i, p in enumerate(primes)]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"n": 27, "d": 2, "values": values}))
+    start = time.perf_counter()
+    code = main(["radon", "forward", "--in", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and elapsed < 5.0
+    assert captured.err.startswith("resource error: cannot write the entries: Exceeds the limit")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "moduli, where",
+    [
+        ([3, "x"], "moduli[1]: modulus 'x' "),
+        ([3, 1.5], "moduli[1]: modulus 1.5 "),
+        ([3, True], "moduli[1]: modulus True "),
+        ([3, -2], "moduli[1]: modulus -2 "),
+        (3, "moduli: expected a list of integers, got 3"),
+    ],
+    ids=["text", "float", "bool", "negative", "not-a-list"],
+)
+def test_a_bad_modulus_is_named_by_its_json_path(tmp_path, capsys, moduli, where):
+    group = json.dumps({"moduli": moduli})
+    multiset = tmp_path / "bad.json"
+    multiset.write_text(f'{{"group":{group},"elements":[]}}')
+    for argv, prefix in (
+        (["fs", "--in", str(multiset)], "group."),
+        (["sim0", "--a", str(multiset), "--b", str(multiset)], "group."),
+        (["search", "invert-fs", "--in", str(multiset)], "group."),
+        (["search", "scan", "--max-size", "2", "--group", group], ""),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {prefix}{where}") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "row", [[[1, 2], 1], [[1], -1], [[1], 1.5], [["1"], 1], [[1], 1, 1], "[[1],1]"]
 )

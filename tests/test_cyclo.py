@@ -5,9 +5,10 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from oracles import field_mul_oracle, root_power, unit_word_oracle
+from oracles import field_mul_oracle, prime_unit_rank_oracle, root_power, unit_word_oracle
 
 from fsrecon.cyclo import (
+    RANK_CAP,
     canonical,
     cyclotomic_poly,
     distribution_relation_vector,
@@ -17,7 +18,7 @@ from fsrecon.cyclo import (
     projection_surjectivity_check,
     sim0_lattice_basis,
     sim0_lattice_member,
-    unit_group_rank_numeric,
+    unit_group_rank,
     unit_signature,
     unit_word_eval,
     verify_distribution,
@@ -25,7 +26,7 @@ from fsrecon.cyclo import (
 from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.groups import cyclic
 from fsrecon.multisets import Multiset
-from fsrecon.ofs import divisors, prime_factors, totient
+from fsrecon.ofs import divisors, is_member, prime_factors, totient
 
 
 def poly_mul(a, b):
@@ -356,11 +357,37 @@ def test_kernel_rank_reports():
         kernel_rank_check(17)
 
 
-def test_unit_rank_numeric():
-    assert unit_group_rank_numeric(1)["numeric_rank"] == 1
+def test_unit_rank():
+    assert unit_group_rank(1) == {"n": 1, "rank": 1, "expected": 1, "consistent": True}
     for n in (7, 9):
-        rep = unit_group_rank_numeric(n)
-        assert rep["numeric_rank"] == totient(n) // 2 == rep["expected"]
+        rep = unit_group_rank(n)
+        assert rep["rank"] == totient(n) // 2 == rep["expected"] and rep["consistent"]
+
+
+def test_unit_rank_is_certified_for_every_member_up_to_the_cap():
+    """The interval elimination at RANK_PRECISION_BITS proves phi(n)/2 for
+    every odd member n <= RANK_CAP."""
+    members = [n for n in range(1, RANK_CAP + 1, 2) if is_member(n).member]
+    assert len(members) == 18
+    for n in members:
+        rep = unit_group_rank(n)
+        assert rep["rank"] == (totient(n) // 2 or 1) and rep["consistent"], rep
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 44, 2) if prime_factors(p) == [p]])
+def test_unit_rank_of_a_prime_matches_the_character_count(p):
+    """Below phi(p)/2 exactly when 2 and -1 generate a proper subgroup of
+    (Z/p)*, as for the non-members 17, 31, 41 and 43."""
+    rep = unit_group_rank(p)
+    assert rep["rank"] == prime_unit_rank_oracle(p)
+    assert rep["consistent"] == is_member(p).member
+
+
+def test_unit_rank_cap():
+    with pytest.raises(ResourceCapError):
+        unit_group_rank(RANK_CAP + 2)
+    with pytest.raises(DomainError):
+        unit_group_rank(4)
 
 
 # -- bridge to subset sums ------------------------------------------------------------
