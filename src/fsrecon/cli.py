@@ -144,6 +144,7 @@ def _cmd_radon(args) -> int:
 def _cmd_cyclo(args) -> int:
     from . import cyclo, ofs
     if args.action == "dist":
+        cyclo._require_odd(args.n)  # before factoring n
         checks = []
         for p in ofs.prime_factors(args.n):
             for j in range(args.n // p):

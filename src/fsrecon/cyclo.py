@@ -147,6 +147,11 @@ def _is_one(d: int, exponents: Sequence[int]) -> bool:
     return not any(canonical(d, [a - b for a, b in zip(numerator, denominator)]))
 
 
+def _require_odd(n: int) -> None:
+    if n % 2 == 0 or n < 1:
+        raise DomainError(f"n must be odd and positive, got {n}")
+
+
 def unit_word_eval(d: int, exponents: Sequence[int]) -> tuple[tuple, tuple]:
     """The product of (1 + w_d^j)^e_j as the exact pair (numerator,
     denominator): the products over the positive e_j and over the negated
@@ -163,8 +168,7 @@ def verify_distribution(n: int, p: int, j: int) -> bool:
     over k < p equals 1 + w^(j p), exactly in the field, as the unit word of
     its relation vector.  Where j p is one of the j + k n/p the two entries
     cancel, which is sound because 1 + w^m is never 0 for odd n."""
-    if n % 2 == 0 or n < 1:
-        raise DomainError(f"n must be odd and positive, got {n}")
+    _require_odd(n)
     if n > DISTRIBUTION_CAP:
         raise ResourceCapError(f"distribution check capped at {DISTRIBUTION_CAP}")
     if n % p != 0:
@@ -207,8 +211,7 @@ def kernel_test(n: int, x: Sequence[int]) -> bool:
     For multiplicity-difference vectors this is exactly equality of subset
     sums of the underlying multisets.
     """
-    if n % 2 == 0:
-        raise DomainError(f"n must be odd, got {n}")
+    _require_odd(n)
     if n > KERNEL_TEST_CAP:
         raise ResourceCapError(f"kernel test capped at n = {KERNEL_TEST_CAP}")
     folds = [(d, fold_exponents(n, d, x)) for d in divisors(n)]
@@ -259,8 +262,7 @@ def sim0_lattice_member(n: int, x: Sequence[int]) -> bool:
 
 def sim0_lattice_basis(n: int) -> list[tuple[int, ...]]:
     """An explicit basis of the zero-sum flip lattice; (n-1)/2 vectors."""
-    if n % 2 == 0 or n < 1:
-        raise DomainError(f"n must be odd and positive, got {n}")
+    _require_odd(n)
     half = (n - 1) // 2
     basis = []
     if half >= 1:
@@ -319,8 +321,7 @@ def projection_surjectivity_check(n: int) -> dict:
     generators next to the image columns: the map is onto the quotient iff
     the stacked matrix has full row rank.
     """
-    if n % 2 == 0 or n < 1:
-        raise DomainError(f"n must be odd and positive, got {n}")
+    _require_odd(n)
     if n > RANK_CAP:
         raise ResourceCapError(f"surjectivity check capped at {RANK_CAP}")
     divs = divisors(n)
@@ -388,8 +389,7 @@ def unit_group_rank(n: int) -> dict:
     RANK_PRECISION_BITS bound it below, and prove it when they reach it."""
     from mpmath.ctx_iv import MPIntervalContext
 
-    if n % 2 == 0 or n < 1:
-        raise DomainError(f"n must be odd and positive, got {n}")
+    _require_odd(n)
     if n > RANK_CAP:
         raise ResourceCapError(f"unit rank check capped at {RANK_CAP}")
     iv = MPIntervalContext()

@@ -20,10 +20,11 @@ picks one of two encodings:
 Counts are exact Python integers, and ``GroupElement``s are built only when
 sums leave the space.  ``cyclo`` steps its unit words with ``VectorSums``.
 
-``sim_check`` decides whether A' arises from A by negating some subset
-(equivalent to matching counts on every pair class {x, -x}), and
-``sim0_check`` refines this to flips whose negated subset sums to zero,
-returning a witness subset when one exists.
+``sim_check`` decides whether A' arises from A by negating some subset,
+and ``sim0_check`` refines this to flips whose negated subset sums to zero,
+returning a witness subset when one exists.  Both compare one canonical
+flip form per multiset, which the search module also groups preimages and
+scan buckets by, in one pass and with no pairwise check.
 """
 from __future__ import annotations
 
@@ -387,71 +388,72 @@ class Sim0Witness:
     sum_check: GroupElement
 
 
-def _flip_negations(a: Multiset, b: Multiset) -> dict | None:
-    """{x: -x} over the supports of a and b, each element negated once, when
-    b arises from a by negating some subset; None when it does not."""
-    a._require_same_group(b)
-    am, bm = a._mult, b._mult
-    neg = {x: -x for x in am.keys() | bm.keys()}
-    for x, y in neg.items():
-        if am.get(x, 0) + am.get(y, 0) != bm.get(x, 0) + bm.get(y, 0):
-            return None
-    return neg
+def _flip_form(ms: Multiset) -> tuple[tuple, frozenset]:
+    """(form, used): multisets share a form iff one arises from the other by
+    negating a zero-sum subset.
+
+    The orientation negates each element whose negation has the smaller
+    coordinates.  A flip can move any count inside a pair class {x, -x}, so
+    the orientation is one per flip class.  Between two multisets of one
+    orientation, a flip sums to the difference of their s, the sums of the
+    elements the orientation negated, plus any sum of the free elements
+    (x = -x != 0), which it may flip or not.  So s is reduced modulo the
+    span of the frees, which lies in (Z/2)^k: one bit per even modulus, set
+    when that coordinate is in the upper half of its range, which adding a
+    free element toggles.  Every pivot bit of s is cleared from the highest
+    down by adding that pivot row's frees, which leaves one representative
+    per coset; `used` is the set of frees added.
+    """
+    mods = ms.group.moduli
+    halves = [m // 2 if m and m % 2 == 0 else 0 for m in mods]
+    pivots: dict[int, tuple[int, frozenset]] = {}  # leading bit -> (row, the frees in it)
+
+    def reduce(coords, used: frozenset) -> tuple[int, frozenset]:
+        v = sum(1 << j for j, (c, h) in enumerate(zip(coords, halves)) if h and c >= h)
+        for top in sorted(pivots, reverse=True):
+            if v >> top & 1:
+                v, used = v ^ pivots[top][0], used ^ pivots[top][1]
+        return v, used
+
+    orientation: dict[tuple, int] = {}
+    s = [0] * len(mods)
+    for x, c in ms.items():
+        y = x.coords
+        neg = tuple([-u % m if m else -u for u, m in zip(y, mods)])
+        if neg < y:
+            s = [t + c * u for t, u in zip(s, y)]
+            y = neg
+        elif neg == y and any(y):  # a free element
+            v, used = reduce(y, frozenset([x]))
+            if v:
+                pivots[v.bit_length() - 1] = (v, used)
+        orientation[y] = orientation.get(y, 0) + c
+    s = [t % m if m else t for t, m in zip(s, mods)]
+    v, used = reduce(s, frozenset())
+    reduced = tuple([t % h + h * (v >> j & 1) if h else t
+                     for j, (t, h) in enumerate(zip(s, halves))])
+    return (frozenset(orientation.items()), reduced), used
 
 
 def sim_check(a: Multiset, b: Multiset) -> bool:
-    """Decide whether b arises from a by negating some subset.
-
-    Flipping signs inside a pair class {x, -x} cannot change the combined
-    count of the class, and that condition is also sufficient: the excess of
-    a over b on one side of every pair is exactly what must be flipped.
-    """
-    return _flip_negations(a, b) is not None
+    """Decide whether b arises from a by negating some subset: whether the
+    two have one orientation, the first part of their flip forms."""
+    a._require_same_group(b)
+    return _flip_form(a)[0][0] == _flip_form(b)[0][0]
 
 
 def sim0_check(a: Multiset, b: Multiset) -> tuple[bool, Sim0Witness | None]:
-    """Decide flip equivalence with a zero-sum flip set, with witness.
-
-    On every pair class {x, -x} with x != -x the flip count of x minus that
-    of -x is forced, and flipping a canceling pair {x, -x} together adds
-    nothing to the flip sum, so the pair classes contribute a fixed base sum.
-    Self-negative elements (2x = 0) are invisible to the multiset but free to
-    include in the flip set; including one copy adds x, a second copy cancels
-    it.  They form (Z/2)^s, one bit per coordinate that is half an even
-    modulus, so the question is whether -base is a sum of some of the free
-    elements: a linear system over GF(2), solved by elimination on bitmasks.
-    """
-    neg = _flip_negations(a, b)
-    if neg is None:
+    """Decide flip equivalence with a zero-sum flip set, with witness: whether
+    the two have one flip form.  The witness flips the excess of a over b on
+    each pair class, which sums to the difference of their s, and the frees
+    that one side's reduction added and not the other's, which sum to it
+    too; in the 2-torsion the two cancel."""
+    a._require_same_group(b)
+    (form_a, used_a), (form_b, used_b) = _flip_form(a), _flip_form(b)
+    if form_a != form_b:
         return False, None
-    forced: dict[GroupElement, int] = {}
-    frees: list[GroupElement] = []
-    base = a.group.zero()
-    for x in a.support():
-        if x == neg[x]:
-            if not x.is_zero():
-                frees.append(x)
-            continue
-        excess = a._mult[x] - b._mult.get(x, 0)
-        if excess > 0:
-            forced[x] = excess
-            base = base + excess * x
-    target = -base
-    if target != -target:
-        return False, None
-    # Elimination over GF(2), target last: leading bit -> (vector, the
-    # inputs summing to it, as a bitmask over frees + [target]).
-    pivots: dict[int, tuple[int, int]] = {}
-    for i, x in enumerate([*frees, target]):
-        v, used = sum(1 << j for j, c in enumerate(x.coords) if c), 1 << i
-        while v.bit_length() in pivots:
-            pv, pused = pivots[v.bit_length()]
-            v, used = v ^ pv, used ^ pused
-        if v:
-            pivots[v.bit_length()] = (v, used)
-    if v:  # the target is independent of the frees
-        return False, None
-    counts = dict(forced)
-    counts.update((x, 1) for i, x in enumerate(frees) if used >> i & 1)
+    bm = b._mult
+    counts = {x: c - bm.get(x, 0) for x, c in a._mult.items() if c > bm.get(x, 0)}
+    counts.update(dict.fromkeys(used_a ^ used_b, 1))
     flip = Multiset(a.group, counts)
     return True, Sim0Witness(flip_set=flip, sum_check=flip.total())

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, ResourceCapError
 from .groups import GroupElement, GroupSpec
-from .multisets import DEFAULT_SUBSET_SUMS_CAP, Multiset, sim0_check, sums_space
+from .multisets import DEFAULT_SUBSET_SUMS_CAP, Multiset, _flip_form, sums_space
 
 __all__ = [
     "ScanReport",
@@ -144,18 +144,11 @@ def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multis
 
 
 def _flip_classes(members: list[Multiset]) -> list[list[Multiset]]:
-    """Zero-flip classes in order of first member; each member is checked
-    against one representative per class.  The relation is transitive: the
-    forced flips add, and the free elements' GF(2) span is a subgroup."""
-    classes: list[list[Multiset]] = []
-    for cand in members:
-        for cls in classes:
-            if sim0_check(cls[0], cand)[0]:
-                cls.append(cand)
-                break
-        else:
-            classes.append([cand])
-    return classes
+    """Zero-flip classes in order of first member: one per flip form."""
+    classes: dict[tuple, list[Multiset]] = {}
+    for m in members:
+        classes.setdefault(_flip_form(m)[0], []).append(m)
+    return list(classes.values())
 
 
 @dataclass
@@ -197,9 +190,10 @@ def regularity_scan(
     that are not zero-flip equivalent.
 
     Multisets are bucketed by their exact subset-sums multiset; only pairs
-    from different zero-flip classes of one bucket violate.  The scan walks the multisets depth first, each one extending
-    the subset sums of its prefix, so when the budget runs out no size has
-    been fully checked; the report is then flagged non-exhaustive.
+    of one bucket with different flip forms violate.  The scan walks the
+    multisets depth first, each one extending the subset sums of its prefix,
+    so when the budget runs out no size has been fully checked; the report
+    is then flagged non-exhaustive.
     """
     if max_size < 1:
         raise DomainError(f"the scan needs a maximum size of at least 1, got {max_size}")
@@ -228,7 +222,7 @@ def regularity_scan(
         if len(members) < 2:
             continue
         sets = [Multiset.from_elements(group, seq) for seq in members]
-        label = {m: i for i, cls in enumerate(_flip_classes(sets)) for m in cls}
+        label = {m: _flip_form(m)[0] for m in sets}
         violations += [(a, b) for a, b in itertools.combinations(sets, 2) if label[a] != label[b]]
     violations.sort(key=lambda pair: (pair[0].to_json(), pair[1].to_json()))
     report.violations = violations

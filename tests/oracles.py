@@ -66,10 +66,13 @@ def sim_oracle(a: Multiset, b: Multiset) -> bool:
     return any(flip(a, sub) == b for sub, _ in iter_submultisets(a))
 
 
+def sim0_orbit(a: Multiset) -> set[Multiset]:
+    """Every multiset that negating a zero-sum sub-multiset of a gives."""
+    return {flip(a, sub) for sub, total in iter_submultisets(a) if total.is_zero()}
+
+
 def sim0_oracle(a: Multiset, b: Multiset) -> bool:
-    return any(
-        total.is_zero() and flip(a, sub) == b for sub, total in iter_submultisets(a)
-    )
+    return b in sim0_orbit(a)
 
 
 def _box(group: GroupSpec, bound: int | None) -> list[GroupElement]:

@@ -550,6 +550,19 @@ def test_cyclo_commands(capsys):
     assert code == 0 and obj["pass"] is True and len(obj["checks"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["dist", "0"], ["dist", "-3"], ["dist", "4"], ["kernel-test", "-3", "--vector", "1,2,3"],
+     ["kernel-test", "0", "--vector", "1"], ["ranks", "-3"]],
+    ids=["dist-0", "dist-neg", "dist-even", "kernel-neg", "kernel-0", "ranks-neg"],
+)
+def test_cyclo_names_the_domain_before_it_factors(capsys, argv):
+    code = main(["cyclo", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: n must be odd and positive, got {argv[1]}\n"
+
+
 def test_cyclo_ranks_cap(capsys):
     code = main(["cyclo", "ranks", "47"])
     captured = capsys.readouterr()
@@ -768,6 +781,20 @@ def test_search_invert_fs_over_z_without_a_bound(tmp_path, capsys):
     code, out = run(capsys, "--json", "search", "invert-fs", "--in", str(path))
     assert code == 0
     classes = json.loads(out)["classes"]
+    assert any(source.to_obj() in cls for cls in classes)
+
+
+def test_search_invert_fs_of_many_even_order_classes_in_seconds(tmp_path, capsys):
+    # 4,080 preimages in 1,840 zero-flip classes.  Matching each preimage
+    # against one member of every class found so far ran past a minute.
+    source = Multiset.from_elements(cyclic(16), [2, 3, 4, 8, 14, 15])
+    path = tmp_path / "fs.json"
+    path.write_text(source.subset_sums().to_json())
+    start = time.perf_counter()
+    code, out = run(capsys, "--json", "search", "invert-fs", "--in", str(path))
+    assert time.perf_counter() - start < 10.0
+    classes = json.loads(out)["classes"]
+    assert code == 0 and len(classes) == 1840 and sum(map(len, classes)) == 4080
     assert any(source.to_obj() in cls for cls in classes)
 
 

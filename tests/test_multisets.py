@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -10,6 +11,7 @@ from fsrecon.groups import GroupSpec, cyclic
 from fsrecon.multisets import Multiset, sim0_check, sim_check
 from oracles import (
     all_small_groups,
+    expand,
     fs_bruteforce,
     flip,
     iter_submultisets,
@@ -176,12 +178,13 @@ def test_sim0_witness_is_valid():
 
 def test_sim_sim0_agree_with_exhaustive_oracle():
     """Positive side exhaustively (every flip of every small A), negative
-    side on same-size non-flip pairs, over every abelian group of size <= 9."""
+    side on same-size non-flip pairs, over every abelian group of size <= 9,
+    and over Z and Z/2 x Z with Z coordinates drawn from [-3, 3], where the
+    orientation compares negative coordinates."""
     rng = random.Random(8)
-    for g in all_small_groups(9):
-        if not g.is_finite():
-            continue
-        elements = list(g.iter_elements())
+    for g in [*all_small_groups(9), Z, GroupSpec((2, 0))]:
+        ranges = [range(m) if m else range(-3, 4) for m in g.moduli]
+        elements = [g.element(c) for c in itertools.product(*ranges)]
         for _ in range(60):
             size = rng.randint(0, 4)
             a = Multiset.from_elements(g, (rng.choice(elements) for _ in range(size)))
@@ -199,6 +202,25 @@ def test_sim_sim0_agree_with_exhaustive_oracle():
             assert sim_check(a, other) == sim_oracle(a, other)
             ok, _ = sim0_check(a, other)
             assert ok == sim0_oracle(a, other)
+
+
+def test_sim0_agrees_with_the_oracle_on_dependent_free_elements():
+    """Self-negative elements drawn with repeats and sums among them, so
+    that many are dependent, beside elements negated at random, over a group
+    with three even moduli: whether the flip sum can be cancelled depends on
+    every pivot of the free elements' span."""
+    rng = random.Random(13)
+    g = GroupSpec((4, 4, 2))
+    frees = [x for x in g.iter_elements() if x == -x and not x.is_zero()]
+    elements = list(g.iter_elements())
+    for _ in range(150):
+        a = ms(g, *rng.choices(frees, k=rng.randint(2, 5)),
+               *rng.choices(elements, k=rng.randint(1, 3)))
+        b = Multiset(g, [(-x if rng.random() < 0.5 else x, 1) for x in expand(a)])
+        ok, witness = sim0_check(a, b)
+        assert ok == sim0_oracle(a, b), (a, b)
+        if ok:
+            assert flip(a, witness.flip_set) == b and witness.sum_check.is_zero()
 
 
 def test_flip_keeps_subset_sums_iff_zero_sum():

@@ -7,9 +7,9 @@ import pytest
 from fsrecon.counterexamples import z2_pair
 from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.groups import GroupSpec, cyclic
-from fsrecon.multisets import Multiset, sim0_check
+from fsrecon.multisets import Multiset
 from fsrecon.search import fs_preimages, regularity_scan, verify_add_subset_sums
-from oracles import fs_bruteforce, preimages_by_fits, preimages_oracle, scan_oracle
+from oracles import fs_bruteforce, preimages_by_fits, preimages_oracle, scan_oracle, sim0_orbit
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -89,15 +89,21 @@ def test_preimages_contain_original_multiset():
 
 
 def test_preimage_classes_are_sim0_consistent():
-    rng = random.Random(26)
-    a = Multiset.from_elements(cyclic(7), (rng.randint(0, 6) for _ in range(3)))
-    classes = fs_preimages(a.subset_sums())
-    for cls in classes:
-        for other in cls:
-            assert sim0_check(cls[0], other)[0]
-    if len(classes) > 1:
-        for other_cls in classes[1:]:
-            assert not sim0_check(classes[0][0], other_cls[0])[0]
+    """Each class is the set of preimages that the brute-force flip search
+    reaches from its first member by zero-sum flips.  Seeded targets of
+    sizes 1 to 4, Z coordinates drawn within the bound."""
+    for moduli, bound in [((7,), None), ((4,), None), ((8,), None), ((2, 4), None),
+                          ((2, 2, 2), None), ((2, 0), 2)]:
+        group = GroupSpec(moduli)
+        rng = random.Random(26)
+        for size in range(1, 5):
+            for _ in range(3):
+                source = Multiset.from_elements(group, [_draw(group, rng, bound) for _ in range(size)])
+                classes = fs_preimages(source.subset_sums(), bound=bound)
+                preimages = {m for cls in classes for m in cls}
+                assert source in preimages and len(preimages) == sum(map(len, classes))
+                for cls in classes:
+                    assert set(cls) == sim0_orbit(cls[0]) & preimages, (moduli, source)
 
 
 @pytest.mark.parametrize(
