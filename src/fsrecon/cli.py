@@ -119,26 +119,26 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_radon(args) -> int:
     from . import radon
-    if args.action == "forward":
-        table = radon.FunctionTable.from_obj(_read_json(args.infile))
-        try:  # the image's entry at the zero homomorphism and residue 0
-            str(table.total())
-        except ValueError as exc:  # past the digit limit of str(int)
-            raise ResourceCapError(f"cannot write the entries: {exc}") from None
-        _write_text(args.out, radon.forward(table).to_json())
-        return 0
+    if args.action == "verify":
+        ok = radon.verify_inverting(radon.inversion_weights(args.n, args.d))
+        _emit(
+            args,
+            {"n": args.n, "d": args.d, "inverting": ok},
+            [f"closed-form weights invert on (Z/{args.n})^{args.d}: {ok}"],
+        )
+        return 0 if ok else 1
+    cls = radon.FunctionTable if args.action == "forward" else radon.RadonImage
+    with open(args.infile, encoding="utf-8") as fh:  # from_obj decodes the text itself
+        doc = _decode(cls.from_obj, fh.read())
     if args.action == "invert":
-        img = radon.RadonImage.from_obj(_read_json(args.infile))
-        _write_text(args.out, radon.invert(img).to_json())
+        _write_text(args.out, radon.invert(doc).to_json())
         return 0
-    # verify
-    ok = radon.verify_inverting(radon.inversion_weights(args.n, args.d))
-    _emit(
-        args,
-        {"n": args.n, "d": args.d, "inverting": ok},
-        [f"closed-form weights invert on (Z/{args.n})^{args.d}: {ok}"],
-    )
-    return 0 if ok else 1
+    try:  # the image's entry at the zero homomorphism and residue 0
+        str(doc.total())
+    except ValueError as exc:  # past the digit limit of str(int)
+        raise ResourceCapError(f"cannot write the entries: {exc}") from None
+    _write_text(args.out, radon.forward(doc).to_json())
+    return 0
 
 
 def _cmd_cyclo(args) -> int:

@@ -10,27 +10,29 @@ only on which primes divide all of its values.
 
 No floating point is used anywhere.  A function table and its image are
 stored alike, as integer numerators in point order over one common positive
-denominator, and filed as JSON rows in that order.  Forward, invert and
-verify share one separable integer kernel: a sweep that turns one coordinate
-axis at a time into a coefficient axis by a shift-and-add along the residue
-axis, in d n^(d+2) operations and n^(d+1) memory.  It runs on numpy int64
-only, on one or more residue channels (``_exact``): a bound proved up front
-caps every partial sum, and when it passes 2^62 the kernel runs once per
-odd modulus of a coprime set whose product exceeds twice the bound, and an
-exact CRT rebuild recovers each integer as its symmetric representative.
-Grids built from arguments stop at MAX_IMAGE_ENTRIES image entries.  The
+denominator, and filed as JSON rows in that order: the bytes ``to_json``
+writes are read back in one pass, any other document row by row.  Forward,
+invert and verify share one separable integer kernel: a sweep that turns one
+coordinate axis at a time into a coefficient axis by a shift-and-add along
+the residue axis, in d n^(d+2) operations and n^(d+1) memory.  It runs on
+numpy int64 only, on one or more residue channels (``_exact``): a bound
+proved up front caps every partial sum, and when it passes 2^62 the kernel
+runs once per odd modulus of a coprime set whose product exceeds twice the
+bound, and an exact CRT rebuild recovers each integer as its symmetric
+representative.  No grid passes MAX_IMAGE_ENTRIES image entries.  The
 transform is not surjective and ``invert`` trusts its input;
 ``fourier_invert_at_zero`` is an independent second inverse.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 import re
 from fractions import Fraction
 from itertools import chain, cycle, islice, repeat
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -52,25 +54,24 @@ __all__ = [
     "random_table",
 ]
 
-# Largest image n^(d+1) built from arguments alone; criterion 07's (45, 3)
+# Largest image n^(d+1) of any grid; criterion 07's (45, 3)
 # has 4.1M entries.
 MAX_IMAGE_ENTRIES = 2**23
 # "p/q" with q > 0, a subset of what Fraction parses, alone and one a line.
 _RATIO = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
 _RATIOS = re.compile(rf"(?:{_RATIO.pattern}\n)*{_RATIO.pattern}")
-_BLOCK = 512  # rows per call of `_ratios`: its temporaries stay small and in cache
-
-
-def _check_dims(n: int, d: int) -> None:
-    if type(n) is not int or type(d) is not int or n < 1 or d < 1:
-        raise DomainError(f"need integers n >= 1 and d >= 1, got n = {n!r}, d = {d!r}")
+# The start of `_write`'s text; n and d past 9 digits are past the size cap.
+_HEADER = re.compile(r'\{"n":([1-9][0-9]{0,8}),"d":([1-9][0-9]{0,8}),"(values|entries)":\[')
+_BLOCK = 512  # rows per block of `_read_text`: its temporaries stay small and in cache
 
 
 def _check_size(n: int, d: int) -> None:
-    """Refuse a grid whose image passes MAX_IMAGE_ENTRIES.  The kernels take
-    d steps even when n = 1, so d stops at the cap's bit length, past which
-    n^(d+1) exceeds the cap for every n >= 2; n^(d+1) is only computed
-    below it."""
+    """Refuse bad dimensions, and a grid whose image passes MAX_IMAGE_ENTRIES.
+    The kernels take d steps even when n = 1, so d stops at the cap's bit
+    length, past which n^(d+1) exceeds the cap for every n >= 2; n^(d+1) is
+    only computed below it."""
+    if type(n) is not int or type(d) is not int or n < 1 or d < 1:
+        raise DomainError(f"need integers n >= 1 and d >= 1, got n = {n!r}, d = {d!r}")
     if d >= MAX_IMAGE_ENTRIES.bit_length() or n ** (d + 1) > MAX_IMAGE_ENTRIES:
         raise ResourceCapError(
             f"(Z/{n})^{d} is past the cap: need n^(d+1) <= {MAX_IMAGE_ENTRIES} image"
@@ -98,57 +99,48 @@ def iter_point_tuples(n: int, d: int) -> Iterator[tuple[int, ...]]:
 # -- tables ------------------------------------------------------------------
 
 
-def _parse(cls, obj) -> _Rows:
-    """A complete document of cls: one row per point of (Z/nZ)^(d + extra)
-    under its key, [point, value] for a table and [coeffs, c, value] for an
-    image."""
+def _parse(cls, doc) -> _Rows:
+    """The rows of cls in doc, the decoded document or its JSON text: text
+    that `_write` wrote goes to `_read_text`, any other is decoded first."""
+    read = _read_text(cls, doc) if isinstance(doc, str) else None
+    n, d, nums, dens = read or _read_rows(cls, json.loads(doc) if isinstance(doc, str) else doc)
+    qs = set(dens)
+    den = math.lcm(*qs)
+    scale = {q: den // q for q in qs}
+    return cls(n, d, list(map(operator.mul, nums, map(scale.__getitem__, dens))), den)
+
+
+def _read_rows(cls, doc) -> tuple[int, int, list[int], list[int]]:
+    """n, d, numerators and denominators in point order of a decoded document
+    of cls: one row per point of (Z/nZ)^(d + extra) under its key, [point,
+    value] for a table and [coeffs, c, value] for an image.  A value is an
+    int, a Fraction or a string that Fraction parses.  An error names its
+    row as key[k]."""
     key, extra = cls._key, cls._extra
-    if not isinstance(obj, dict):
+    if not isinstance(doc, dict):
         raise DomainError(f"expected a JSON object with keys n, d and {key}")
-    n, d, rows = obj.get("n"), obj.get("d"), obj.get(key)
-    _check_dims(n, d)
-    size = len(rows) if type(rows) is list else -1
-    # With n >= 2, n^(d + extra) > size once d + extra passes size's bit length.
-    if size < 0 or (n > 1 and d + extra > size.bit_length()) or size != n ** (d + extra):
+    n, d, rows = doc.get("n"), doc.get("d"), doc.get(key)
+    _check_size(n, d)
+    if type(rows) is not list or len(rows) != n ** (d + extra):
         raise DomainError(f"{key} must be a list of {n}^{d + extra} rows")
-    return cls(n, d, *_fill(n, d + extra, rows, extra, key))
-
-
-def _fill(n: int, dims: int, rows: list, extra: int, where: str) -> tuple[list[int], int]:
-    """Numerators over one common denominator, in point order, from rows
-    [coords, value] (extra = 0) or [coeffs, c, value] (extra = 1) that name
-    each point of (Z/nZ)^dims once.  A value is an int, a Fraction or a
-    string that Fraction parses.  `_ratios` reads whole blocks of rows in the
-    form `_write` writes; from the first block that is not, rows go one by
-    one, and an error names its row as where[k]."""
-    _check_dims(n, dims)
-    nums: list = [None] * n**dims
-    dens = [1] * len(nums)
-    k = 0
-    while k < len(rows) == len(nums) and (
-        ratios := _ratios(rows[k : k + _BLOCK], k, n, dims - extra, extra)
-    ):
-        nums[k : k + _BLOCK], dens[k : k + _BLOCK] = ratios
-        k += _BLOCK
+    nums: list = [None] * len(rows)
+    dens = [1] * len(rows)
     try:
-        for k, row in enumerate(islice(rows, k, None), k):
+        for k, row in enumerate(rows):
             coeffs, *c, v = row
             if len(c) != extra:
                 raise DomainError(f"expected a row of {2 + extra} items")
-            i = _index(n, dims - extra, coeffs) * n**extra + _index(n, extra, c)
+            i = _index(n, d, coeffs) * n**extra + _index(n, extra, c)
             if type(v) not in (int, str, Fraction):
                 raise DomainError(f"value {v!r} is neither an integer nor a string")
             ratio = type(v) is str and _RATIO.fullmatch(v)  # skips building a Fraction
             nums[i], dens[i] = map(int, v.split("/")) if ratio else Fraction(v).as_integer_ratio()
     except (DomainError, TypeError, ValueError, ZeroDivisionError) as exc:
         why = exc if isinstance(exc, DomainError) else f"malformed entry: {exc}"
-        raise DomainError(f"{where}[{k}]{_field(row, n, dims - extra, extra)}: {why}") from None
+        raise DomainError(f"{key}[{k}]{_field(row, n, d, extra)}: {why}") from None
     if None in nums:
-        raise DomainError(f"need exactly one entry for each of the {n}^{dims} points")
-    qs = set(dens)
-    den = math.lcm(*qs)
-    scale = {q: den // q for q in qs}
-    return list(map(operator.mul, nums, map(scale.__getitem__, dens))), den
+        raise DomainError(f"need exactly one entry for each of the {n}^{d + extra} points")
+    return n, d, nums, dens
 
 
 def _field(row, n: int, d: int, extra: int) -> str:
@@ -163,47 +155,62 @@ def _field(row, n: int, d: int, extra: int) -> str:
     return f"[0][{j}]" if j < d else f"[{j - d + 1}]"
 
 
-def _ratios(block: list, start: int, n: int, d: int, extra: int) -> tuple[list, list] | None:
-    """Numerators and denominators of block = rows[start:], or None unless its
-    rows are [coords, *c, "p/q"] with int coordinates in point order: checked
-    by C-level passes over the columns and one regex match."""
-    if set(map(type, block)) != {list} or set(map(len, block)) != {2 + extra}:
+def _layout(n: int, d: int, extra: int) -> tuple[list[str], list[str]]:
+    """The text between the quoted values of rows k - 1 and k, quotes left
+    out, is heads[k // n] + tails[k % n]: "],[[a1,...," + "a]," for a table."""
+    seps = [","] * (d - 1) + ["],"] + [","] * extra
+    heads = ["],[["]
+    for sep in seps[:-1]:
+        heads = [f"{h}{a}{sep}" for h in heads for a in range(n)]
+    return heads, [f"{a}{seps[-1]}" for a in range(n)]
+
+
+def _read_text(cls, text: str) -> tuple[int, int, list[int], list[int]] | None:
+    """n, d, numerators and denominators if text is what `_write` writes for
+    cls, up to trailing whitespace: valid JSON with the rows json.loads gives.
+    Its quotes split `_layout`'s separators from "p/q" values.  Else None."""
+    head = _HEADER.match(text)
+    if not head or head[3] != cls._key:
         return None
-    heads, *cs, values = zip(*block)
-    digits = np.arange(start, start + len(block))[:, None] // n ** np.arange(d + extra)[::-1] % n
-    if (
-        set(map(type, heads)) != {list} or set(map(len, heads)) != {d}
-        or set(map(type, keys := list(chain(*heads, *cs)))) != {int}
-        or not np.array_equal(keys, np.concatenate((digits[:, :d].ravel(), digits[:, d:].ravel())))
-        or set(map(type, values)) != {str}
-        or (text := "\n".join(values)).count("\n") != len(block) - 1
-        or not _RATIOS.fullmatch(text)
-    ):
+    n, d = int(head[1]), int(head[2])
+    _check_size(n, d)
+    if text.count('"') != 6 + 2 * n ** (d + cls._extra):  # each quote costs a piece
         return None
-    parts = text.replace("\n", "/").split("/")
-    try:  # int() refuses strings past its digit limit
-        qs = {q: int(q) for q in set(parts[1::2])}
-        return list(map(int, parts[::2])), list(map(qs.__getitem__, parts[1::2]))
-    except ValueError:
+    pieces = text.split('"')  # 6 in the header, then separators and values alternate
+    if pieces.pop().rstrip(" \t\n\r") != "]]}":
         return None
+    pieces[6] = "]," + pieces[6][2:]  # ":[" ends the header: read it as a row's close
+    heads, tails = _layout(n, d, cls._extra)
+    separators = (h + t for h in heads for t in tails)
+    nums, dens = [], []
+    for k in range(6, len(pieces), 2 * _BLOCK):
+        block = pieces[k : k + 2 * _BLOCK]
+        values = "\n".join(block[1::2])
+        if (block[::2] != list(islice(separators, len(block) // 2))
+                or values.count("\n") != len(block) // 2 - 1 or not _RATIOS.fullmatch(values)):
+            return None
+        parts = values.replace("\n", "/").split("/")
+        try:  # int() refuses strings past its digit limit
+            qs = {q: int(q) for q in set(parts[1::2])}
+            nums += map(int, parts[::2])
+        except ValueError:
+            return None
+        dens += map(qs.__getitem__, parts[1::2])
+    return n, d, nums, dens
 
 
 def _write(table: _Rows) -> str:
     """The bytes json.dumps writes for the table's document, each value "p/q"
-    in lowest terms.  A row joins shared pieces, its head to the last digit
-    (opened by the previous row's close) and the tail on, with "p" and "/q".
+    in lowest terms: rows of `_layout`'s pieces, quoted, with "p" and "/q".
     A value past the digit limit of str(int) is refused as a cap."""
     n, d, nums, den = table.n, table.d, table._nums, table._den
-    seps = [","] * (d - 1) + ["],"] + [","] * table._extra
-    heads = ['"],[[']
-    for sep in seps[:-1]:
-        heads = [f"{h}{a}{sep}" for h in heads for a in range(n)]
-    tails = cycle([f'{a}{seps[-1]}"' for a in range(n)])
+    heads, tails = _layout(n, d, table._extra)
+    heads, tails = [f'"{h}' for h in heads], [f'{t}"' for t in tails]
     gs = list(map(math.gcd, nums, repeat(den)))
     first = f'{{"n":{n},"d":{d},"{table._key}":[{heads[0][3:]}'
     try:
         over = {g: f"/{den // g}" for g in set(gs)}
-        rows = zip(chain.from_iterable(map(repeat, heads, repeat(n))), tails,
+        rows = zip(chain.from_iterable(map(repeat, heads, repeat(n))), cycle(tails),
                    map(str, map(operator.floordiv, nums, gs)), map(over.__getitem__, gs))
         return "".join(chain([first], islice(chain.from_iterable(rows), 1, None), ['"]]}']))
     except ValueError as exc:
@@ -217,7 +224,7 @@ class _Rows:
     __slots__ = ("n", "d", "_nums", "_den")
 
     def __init__(self, n: int, d: int, nums: list[int], den: int):
-        _check_dims(n, d)
+        _check_size(n, d)
         if den <= 0 or len(nums) != n ** (d + self._extra):
             raise DomainError(f"need {n}^{d + self._extra} numerators and a positive denominator")
         self.n, self.d, self._nums, self._den = n, d, nums, den
@@ -240,11 +247,6 @@ class FunctionTable(_Rows):
     __slots__ = ()
     _key, _extra = "values", 0
 
-    @classmethod
-    def from_values(cls, n: int, d: int, values: Mapping) -> FunctionTable:
-        """Build from a {point: value} mapping with one entry per point."""
-        return cls(n, d, *_fill(n, d, list(values.items()), 0, "values"))
-
     def value(self, point) -> Fraction:
         return Fraction(self._nums[_index(self.n, self.d, point)], self._den)
 
@@ -263,7 +265,6 @@ _RANDOM_DENOMINATORS = (1, 2, 3, 4, 6, 8)
 
 def random_table(n: int, d: int, rng) -> FunctionTable:
     """Random rational table over the lcm of _RANDOM_DENOMINATORS."""
-    _check_dims(n, d)
     _check_size(n, d)
     den = math.lcm(*_RANDOM_DENOMINATORS)
     nums = [
@@ -297,7 +298,6 @@ def inversion_weights(n: int, d: int) -> FunctionTable:
     the homomorphism, over n^(d-1) phi(n).  The values are generated by the
     coefficients, so p divides them all iff p divides gcd(coeffs, n), and
     the numerator is a lookup by that divisor."""
-    _check_dims(n, d)
     _check_size(n, d)
     primes = prime_factors(n)
     by_divisor = {

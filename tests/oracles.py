@@ -12,7 +12,7 @@ from fractions import Fraction
 from fsrecon.cyclo import cyclotomic_poly
 from fsrecon.groups import GroupElement, GroupSpec
 from fsrecon.multisets import Multiset
-from fsrecon.radon import RadonImage
+from fsrecon.radon import FunctionTable, RadonImage
 
 
 def expand(ms: Multiset) -> list[GroupElement]:
@@ -189,6 +189,12 @@ def _factorizations(n: int, smallest: int = 2) -> list[tuple[int, ...]]:
         if n % f == 0:
             out.extend([(f,) + rest for rest in _factorizations(n // f, f)])
     return out
+
+
+def table_from_values(n: int, d: int, values) -> FunctionTable:
+    """The table of a {point: value} mapping with one entry per point, read
+    from the document with one row per item."""
+    return FunctionTable.from_obj({"n": n, "d": d, "values": [[x, v] for x, v in values.items()]})
 
 
 def rows_json_oracle(table) -> str:

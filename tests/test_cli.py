@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracles import table_from_values
 
 import fsrecon
 from fsrecon import cli, cyclo
@@ -238,6 +239,21 @@ def test_radon_grids_past_the_size_cap_exit_3(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "command, key, residue", [("forward", "values", []), ("invert", "entries", [0])]
+)
+@pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")], ids=["as-written", "spaced"])
+def test_radon_files_past_the_size_cap_exit_3(tmp_path, capsys, command, key, residue, separators):
+    """A one-point (Z/1)^200000 grid: the sweep would take 200,000 steps."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 1, "d": 200_000, key: [[[0] * 200_000, *residue, "1/1"]]},
+                               separators=separators))
+    code = main(["radon", command, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "image",
     [
         {"n": 3, "d": 1, "entries": [[[5], 0, "1/1"]]},
@@ -251,6 +267,7 @@ def test_radon_grids_past_the_size_cap_exit_3(capsys, argv):
         {"n": 2, "d": 1, "entries": [[[a], c, 0.1] for a in (0, 1) for c in (0, 1)]},
         {"n": 2, "d": True, "entries": [[[a], c, "1/1"] for a in (0, 1) for c in (0, 1)]},
         [1, 2],
+        '{"n":1,"d":1,"entries":[[[0],0,"1/1"]]}',
     ],
     ids=[
         "coefficient-and-count",
@@ -264,6 +281,7 @@ def test_radon_grids_past_the_size_cap_exit_3(capsys, argv):
         "value-float",
         "d-bool",
         "top-level-array",
+        "top-level-string",
     ],
 )
 def test_radon_invert_rejects_malformed_image(tmp_path, capsys, image):
@@ -326,7 +344,7 @@ def test_radon_forward_accepts_integer_and_decimal_values(tmp_path, capsys):
     path.write_text(json.dumps(_table([3, "1.5", "-1/2"], n=3)))
     code, out = run(capsys, "radon", "forward", "--in", str(path))
     assert code == 0
-    assert RadonImage.from_obj(json.loads(out)) == forward(FunctionTable.from_values(3, 1, {
+    assert RadonImage.from_obj(json.loads(out)) == forward(table_from_values(3, 1, {
         (0,): 3, (1,): Fraction(3, 2), (2,): Fraction(-1, 2)
     }))
 

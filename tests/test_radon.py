@@ -3,10 +3,11 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from oracles import perturbed, rows_json_oracle
+from oracles import perturbed, rows_json_oracle, table_from_values
 
 from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.radon import (
@@ -25,13 +26,13 @@ from fsrecon.radon import (
 
 
 def constant(n, d, value):
-    return FunctionTable.from_values(n, d, dict.fromkeys(iter_point_tuples(n, d), value))
+    return table_from_values(n, d, dict.fromkeys(iter_point_tuples(n, d), value))
 
 
 def delta(n, d, at=None):
     """The indicator table of the point `at`, the origin by default."""
     at = at or (0,) * d
-    return FunctionTable.from_values(n, d, {x: int(x == at) for x in iter_point_tuples(n, d)})
+    return table_from_values(n, d, {x: int(x == at) for x in iter_point_tuples(n, d)})
 
 
 def apply(h, x, n):
@@ -70,7 +71,7 @@ def weighted_slices_oracle(img, weights):
         x: sum((w * img.value(h, apply(h, x, n)) for h, w in homs), Fraction(0))
         for x in iter_point_tuples(n, d)
     }
-    return FunctionTable.from_values(n, d, values)
+    return table_from_values(n, d, values)
 
 
 def huge_table(n, d, seed, big):
@@ -80,7 +81,7 @@ def huge_table(n, d, seed, big):
     values = {
         x: Fraction(rng.randint(-big, big), rng.choice((1, 7))) for x in iter_point_tuples(n, d)
     }
-    return FunctionTable.from_values(n, d, values)
+    return table_from_values(n, d, values)
 
 
 # Just under and over the int32 range, the one-channel bound 2^62 and int64.
@@ -106,7 +107,7 @@ def moved_weights(n, d, t, onto):
     values[(1,) + (0,) * (d - 1)] -= t
     if onto is not None:
         values[onto] += t
-    return FunctionTable.from_values(n, d, values)
+    return table_from_values(n, d, values)
 
 
 # -- forward ------------------------------------------------------------------
@@ -120,7 +121,7 @@ def test_forward_delta():
 
 
 def test_forward_n2_d1_by_hand():
-    f = FunctionTable.from_values(2, 1, {(0,): Fraction(1), (1,): Fraction(2)})
+    f = table_from_values(2, 1, {(0,): Fraction(1), (1,): Fraction(2)})
     img = forward(f)
     assert img.value((1,), 0) == 1
     assert img.value((1,), 1) == 2
@@ -222,7 +223,7 @@ def test_criterion_rejects_corrupted_weights():
         closed = inversion_weights(3, d)
         values = {h: closed.value(h) for h in iter_point_tuples(3, d)}
         values[(0,) * d] += 1
-        assert not verify_inverting(FunctionTable.from_values(3, d, values))
+        assert not verify_inverting(table_from_values(3, d, values))
 
 
 def test_criterion_mid_size_numpy_paths():
@@ -254,7 +255,7 @@ def test_round_trip_small():
 
 def test_round_trip_integer_valued():
     rng = random.Random(17)
-    f = FunctionTable.from_values(
+    f = table_from_values(
         9, 2, {x: Fraction(rng.randint(-50, 50)) for x in iter_point_tuples(9, 2)}
     )
     assert invert(forward(f)) == f
@@ -402,13 +403,101 @@ NUMERATORS = (0, 1, -1, 7, -12, 2**63 - 1, 2**63 + 1, -(2**63 + 1), 2**200, -(2*
 
 @pytest.mark.parametrize("n,d", [(1, 1), (2, 3), (5, 2), (48, 1)])
 @pytest.mark.parametrize("den", [1, 12, 3**90 * 2**7])
-def test_files_are_the_json_of_the_rows(n, d, den):
+def test_files_are_the_json_of_the_rows(n, d, den, monkeypatch):
     rng = random.Random(n * d * den)
     for cls, size in ((FunctionTable, n**d), (RadonImage, n ** (d + 1))):
         table = cls(n, d, [rng.choice(NUMERATORS) for _ in range(size)], den)
         text = table.to_json()
         assert text == rows_json_oracle(table)
         assert cls.from_obj(json.loads(text)) == table
+        with monkeypatch.context() as m:
+            m.setattr(json, "loads", None)  # the written bytes are read without the decoder
+            assert cls.from_obj(text) == table
+            assert cls.from_obj(text + "\n") == table
+
+
+def _swap_rows(text):
+    doc = json.loads(text)
+    rows = doc["values" if "values" in doc else "entries"]
+    rows[1], rows[2] = rows[2], rows[1]
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _space_after_a_comma(text):
+    at = text.index(",", len(text) // 2) + 1
+    return f"{text[:at]} {text[at:]}"
+
+
+def _other_kinds_key(text):
+    if '"values"' in text:
+        return text.replace('"values"', '"entries"', 1)
+    return text.replace('"entries"', '"values"', 1)
+
+
+_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+
+
+# Text mutations of a written (Z/3)^2 document, and whether json.loads and
+# the reader of decoded documents take the result.
+@pytest.mark.parametrize(
+    "mutate, parses",
+    [
+        (_swap_rows, True),
+        (lambda t: t.replace("[[0,1],", "[[0,3],", 1), False),
+        (lambda t: t.replace("/", "\\/", 1), True),
+        (lambda t: t.replace("/", "/1\n1/", 1), False),
+        (lambda t: re.sub(r'/[0-9]+"', '/0"', t, count=1), False),
+        (lambda t: re.sub(r'/([0-9]+)"', r'/-\1"', t, count=1), False),
+        (_space_after_a_comma, True),
+        (lambda t: t[:-1] + ',"n":3}', True),
+        (lambda t: t + "]", False),
+        (_other_kinds_key, False),
+        (lambda t: t.replace('"n":3', '"n":03', 1), False),
+        (lambda t: t.replace('"d":2', '"d":200000', 1), False),
+        (lambda t: t.replace('"d":2', '"d":2000000000', 1), False),
+        (lambda t: t.replace("/", "/" + "1" * (_DIGITS or 5000), 1), not _DIGITS),
+    ],
+    ids=["swapped-rows", "coordinate-out-of-range", "escaped-slash", "raw-newline-in-a-value",
+         "zero-denominator", "negative-denominator", "space-after-a-comma", "trailing-key",
+         "trailing-bracket", "other-kinds-key", "zero-padded-n", "huge-d", "ten-digit-d",
+         "value-past-the-digit-limit"],
+)
+@pytest.mark.parametrize("cls", [FunctionTable, RadonImage])
+def test_text_reads_like_its_decoded_document(cls, mutate, parses):
+    """Text that is not what to_json writes reads as json.loads of it would:
+    to an equal table, or to the same error."""
+
+    def outcome(read):
+        try:
+            return read()
+        except (ValueError, ResourceCapError) as exc:
+            return type(exc), str(exc)
+
+    f = random_table(3, 2, random.Random(31))
+    table = f if cls is FunctionTable else forward(f)
+    text = mutate(table.to_json())
+    assert text != table.to_json()
+    got = outcome(lambda: cls.from_obj(text))
+    assert got == outcome(lambda: cls.from_obj(json.loads(text)))
+    assert (got == table) is parses
+
+
+def test_stray_quotes_are_counted_before_the_text_is_split():
+    text = '{"n":1,"d":1,"values":[' + '"' * 2_000_000 + "]}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(json.JSONDecodeError):
+            FunctionTable.from_obj(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one piece per quote would take 16 MB of pointers
+
+
+def test_a_document_that_is_a_json_string_is_refused():
+    text = forward(random_table(3, 1, random.Random(32))).to_json()
+    with pytest.raises(DomainError, match="^expected a JSON object"):
+        RadonImage.from_obj(json.dumps(text))
 
 
 def _variants(doc, key, rng):
@@ -440,29 +529,37 @@ def test_noncanonical_files_parse_like_the_canonical_one():
 
 
 def test_a_late_block_out_of_order_parses_and_names_its_rows():
-    """Rows are read by columns a block at a time up to the first block not
-    in canonical form, then one by one: the result, and an error's row index,
-    are those of the whole document."""
+    """Text that leaves the written form only in a late block of rows is read
+    as the decoded document: the result, and an error's row index, are those
+    of the whole document."""
     img = forward(random_table(12, 2, random.Random(28)))
     doc = json.loads(img.to_json())
     rows = doc["entries"]
     assert len(rows) == 1728
     rows[1200], rows[1300] = rows[1300], rows[1200]
-    assert RadonImage.from_obj(doc) == img
+
+    def forms():
+        return doc, json.dumps(doc, separators=(",", ":"))
+
+    for form in forms():
+        assert RadonImage.from_obj(form) == img
     rows[1701][0] = [1.5, 0]
-    with pytest.raises(DomainError, match=r"^entries\[1701\]\[0\]\[0\]: coordinate 1.5 is not"):
-        RadonImage.from_obj(doc)
+    for form in forms():
+        with pytest.raises(DomainError, match=r"^entries\[1701\]\[0\]\[0\]: coordinate 1.5 is"):
+            RadonImage.from_obj(form)
     rows[1701] = rows[0]
-    with pytest.raises(DomainError, match="need exactly one entry"):
-        RadonImage.from_obj(doc)
+    for form in forms():
+        with pytest.raises(DomainError, match="need exactly one entry"):
+            RadonImage.from_obj(form)
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no digit limit")
 def test_a_value_past_the_digit_limit_is_refused_at_its_row():
     doc = json.loads(forward(random_table(12, 2, random.Random(30))).to_json())
     doc["entries"][1700][2] = "1/" + "1" * (sys.get_int_max_str_digits() + 1)
-    with pytest.raises(DomainError, match=r"^entries\[1700\]\[2\]: malformed entry"):
-        RadonImage.from_obj(doc)
+    for form in doc, json.dumps(doc, separators=(",", ":")):
+        with pytest.raises(DomainError, match=r"^entries\[1700\]\[2\]: malformed entry"):
+            RadonImage.from_obj(form)
 
 
 def test_rows_that_only_flatten_to_the_canonical_keys_are_refused():
@@ -520,7 +617,7 @@ def test_a_value_holding_two_ratios_is_refused_at_its_row():
 
 def test_function_table_requires_complete_table():
     with pytest.raises(DomainError):
-        FunctionTable.from_values(3, 1, {(0,): Fraction(1)})
+        table_from_values(3, 1, {(0,): Fraction(1)})
 
 
 @pytest.mark.parametrize("n,d", [(3, 0), (0, 2), (3, -1)])
