@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import counterexamples, cyclo, ofs, radon, search
 from .groups import GroupSpec, cyclic
@@ -30,8 +29,7 @@ MISSING_THROUGH_105 = [
 WIEFERICH = 3511
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

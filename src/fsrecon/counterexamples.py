@@ -9,7 +9,7 @@ carries one to the other.  Over Z/2 the pair ({0,1}, {1,1}) does the job.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceCapError, VerificationError
 from .groups import cyclic
@@ -21,8 +21,7 @@ __all__ = ["CounterexamplePair", "build", "z2_pair"]
 MAX_EXPONENT = 64
 
 
-@dataclass(frozen=True)
-class CounterexamplePair:
+class CounterexamplePair(NamedTuple):
     """d and k describe the power construction; they are None for the
     hand-built pair over Z/2."""
 

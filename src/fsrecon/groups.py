@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DomainError, GroupMismatchError
@@ -18,17 +17,30 @@ from .errors import DomainError, GroupMismatchError
 __all__ = ["GroupSpec", "GroupElement", "cyclic"]
 
 
-@dataclass(frozen=True)
 class GroupSpec:
     """Z/m1 x Z/m2 x ...; a modulus of 0 marks a copy of Z."""
 
-    moduli: tuple[int, ...]
+    __slots__ = ("moduli",)
 
     def __init__(self, moduli: Sequence[int]):
         mods = tuple(int(m) for m in moduli)
         if any(m < 0 for m in mods):
             raise DomainError(f"moduli must be nonnegative, got {mods}")
         object.__setattr__(self, "moduli", mods)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupSpec is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GroupSpec:
+            return NotImplemented
+        return self.moduli == other.moduli
+
+    def __hash__(self) -> int:
+        return hash(self.moduli)
+
+    def __repr__(self) -> str:
+        return f"GroupSpec(moduli={self.moduli!r})"
 
     def __str__(self) -> str:
         if not self.moduli:
@@ -84,20 +96,27 @@ def cyclic(n: int) -> GroupSpec:
     return GroupSpec((n,))
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """Built from any integer coordinates, of which each finite one is
     stored reduced into [0, m)."""
 
-    coords: tuple[int, ...]
-    group: GroupSpec
+    __slots__ = ("coords", "group")
 
-    def __post_init__(self):
-        moduli = self.group.moduli
-        if len(self.coords) != len(moduli):
-            raise DomainError(f"expected {len(moduli)} coordinates, got {len(self.coords)}")
-        canon = tuple([c % m if m else c for c, m in zip(self.coords, moduli)])
+    def __init__(self, coords: Sequence[int], group: GroupSpec):
+        moduli = group.moduli
+        if len(coords) != len(moduli):
+            raise DomainError(f"expected {len(moduli)} coordinates, got {len(coords)}")
+        canon = tuple([c % m if m else c for c, m in zip(coords, moduli)])
         object.__setattr__(self, "coords", canon)
+        object.__setattr__(self, "group", group)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupElement is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GroupElement:
+            return NotImplemented
+        return self.coords == other.coords and self.group == other.group
 
     def __hash__(self) -> int:
         # Equal elements have equal coordinates; hashing the group too would

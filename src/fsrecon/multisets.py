@@ -31,9 +31,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, GroupMismatchError, ResourceCapError
 from .groups import GroupElement, GroupSpec
@@ -380,8 +379,7 @@ class Multiset:
             raise ResourceCapError(f"cannot write the multiset: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Sim0Witness:
+class Sim0Witness(NamedTuple):
     """A zero-sum subset whose sign flip carries one multiset to the other."""
 
     flip_set: Multiset

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceCapError
 
@@ -133,8 +133,7 @@ def ord_mod(a: int, n: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class OfsVerdict:
+class OfsVerdict(NamedTuple):
     n: int
     member: bool
     ord2: int
@@ -142,7 +141,7 @@ class OfsVerdict:
     branch: str
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _require_odd(n: int) -> None:

@@ -282,9 +282,6 @@ class RadonImage(_Rows):
     __slots__ = ()
     _key, _extra = "entries", 1
 
-    def value(self, coeffs, c: int) -> Fraction:
-        return Fraction(self._nums[_index(self.n, self.d + 1, [*coeffs, c % self.n])], self._den)
-
     from_obj = classmethod(_parse)
     to_json = _write
 
@@ -374,7 +371,7 @@ def _exact(kernel: Callable, nums, bound: int, n: int, wmax: int = 1) -> list[in
         if isinstance(nums, np.ndarray):
             g = nums % q
         else:
-            g = np.array([x % q for x in nums], dtype=np.int64)
+            g = np.fromiter(map(operator.mod, nums, repeat(q)), np.int64, len(nums))
         outs.append(kernel(g, q).tolist())
     return _crt(outs, qs)
 

@@ -13,7 +13,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, ResourceCapError
@@ -151,14 +150,11 @@ def _flip_classes(members: list[Multiset]) -> list[list[Multiset]]:
     return list(classes.values())
 
 
-@dataclass
 class ScanReport:
-    group: GroupSpec
-    max_size: int
-    bound: int | None
-    violations: list[tuple[Multiset, Multiset]] = field(default_factory=list)
-    exhaustive: bool = True
-    checked: int = 0
+    def __init__(self, group: GroupSpec, max_size: int, bound: int | None):
+        self.group, self.max_size, self.bound = group, max_size, bound
+        self.violations: list[tuple[Multiset, Multiset]] = []
+        self.exhaustive, self.checked = True, 0
 
     def min_violation_size(self) -> int | None:
         """Smallest multiset size among observed violations; just what this

@@ -197,6 +197,18 @@ def table_from_values(n: int, d: int, values) -> FunctionTable:
     return FunctionTable.from_obj({"n": n, "d": d, "values": [[x, v] for x, v in values.items()]})
 
 
+def image_value(img: RadonImage, coeffs, c: int) -> Fraction:
+    """The entry of img at (coeffs, c mod n): its numerators lie in the
+    lexicographic order of the points (coeffs, c) of (Z/nZ)^(d+1), over one
+    denominator."""
+    n = img.n
+    assert len(coeffs) == img.d and all(0 <= a < n for a in coeffs), coeffs
+    i = 0
+    for a in (*coeffs, c % n):
+        i = i * n + a
+    return Fraction(img._nums[i], img._den)
+
+
 def rows_json_oracle(table) -> str:
     """The file text of a FunctionTable or RadonImage, built the plain way:
     json.dumps of {"n", "d", rows}, one row [point, value] or [coeffs, c,
@@ -205,7 +217,7 @@ def rows_json_oracle(table) -> str:
     points = [list(x) for x in itertools.product(range(n), repeat=d)]
     if isinstance(table, RadonImage):
         key = "entries"
-        rows = [[h, c, table.value(h, c)] for h in points for c in range(n)]
+        rows = [[h, c, image_value(table, h, c)] for h in points for c in range(n)]
     else:
         key = "values"
         rows = [[x, table.value(x)] for x in points]

@@ -854,6 +854,12 @@ def test_import_loads_no_numpy(module):
     assert fresh_python(f"import {module}") == (0, "", False)
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Each costs start-up time that no command's output depends on."""
+    body = "import fsrecon.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert fresh_python(body) == (0, "[]\n", False)
+
+
 def test_pure_integer_commands_load_no_numpy(tmp_path):
     z6 = cyclic(6)
     for name, elements in (("a", [1, 2, 3]), ("b", [5, 4, 3])):
