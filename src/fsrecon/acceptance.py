@@ -9,13 +9,14 @@ fail; it exists as a negative control for the harness itself.
 """
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from typing import Callable, NamedTuple
 
 from . import counterexamples, cyclo, ofs, radon, search
 from .groups import GroupSpec, cyclic
-from .multisets import Multiset, sim0_check, sums_space
+from .multisets import Multiset, sim0_check
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
 
@@ -173,11 +174,10 @@ def _c10_distribution_relations(quick, rng, corrupt):
     limit = 15 if quick else 45
     count = 0
     for n in range(1, limit + 1, 2):
-        for p in ofs.prime_factors(n):
-            for j in range(n // p):
-                if not cyclo.verify_distribution(n, p, j):
-                    return False, f"relation failed at (n, p, j) = ({n}, {p}, {j})"
-                count += 1
+        for c in cyclo.distribution_checks(n):
+            if not c["pass"]:
+                return False, f"relation failed at (n, p, j) = ({n}, {c['p']}, {c['j']})"
+            count += 1
     return True, f"{count} relations hold exactly (odd n <= {limit})"
 
 
@@ -185,12 +185,12 @@ def _bridge_group(n, size_cap, rng, random_pairs):
     group = cyclic(n)
     by_fs: dict = {}
     by_sig: dict = {}
-    # Every multiset of size <= size_cap once, with its subset sums.
-    space = sums_space(group, size_cap, levels=size_cap + 1)
-    elements = list(group.iter_elements())
-    for seq, sums in search._walk(elements, size_cap, space.start, search._steps(space, elements)):
-        by_fs.setdefault(space.key(sums), set()).add(seq)
-        by_sig.setdefault(cyclo.unit_signature(Multiset.from_elements(group, seq)), set()).add(seq)
+    # Every multiset of size <= size_cap once, the empty one too.
+    for k in range(size_cap + 1):
+        for seq in itertools.combinations_with_replacement(range(n), k):
+            ms = Multiset.from_elements(group, seq)
+            by_fs.setdefault(ms.subset_sums(), set()).add(seq)
+            by_sig.setdefault(cyclo.unit_signature(ms), set()).add(seq)
     # The two partitions coincide iff subset-sums equality and the kernel
     # test agree on every pair.
     if set(map(frozenset, by_fs.values())) != set(map(frozenset, by_sig.values())):
@@ -199,11 +199,7 @@ def _bridge_group(n, size_cap, rng, random_pairs):
     for _ in range(random_pairs):
         a = Multiset.from_elements(group, (rng.randrange(n) for _ in range(rng.randint(0, 5))))
         b = Multiset.from_elements(group, (rng.randrange(n) for _ in range(rng.randint(0, 5))))
-        diff = [0] * n
-        for x, m in a.items():
-            diff[x.coords[0]] += m
-        for x, m in b.items():
-            diff[x.coords[0]] -= m
+        diff = [a.multiplicity(j) - b.multiplicity(j) for j in range(n)]
         if (a.subset_sums() == b.subset_sums()) != cyclo.kernel_test(n, diff):
             return False
     return True
@@ -224,14 +220,10 @@ def _c12_rank_checks(quick, rng, corrupt):
     moduli = (1, 3, 9) if quick else (1, 3, 5, 7, 9, 15, 21, 25, 27)
     details = []
     for n in moduli:
-        surj = cyclo.projection_surjectivity_check(n)
-        kern = cyclo.kernel_rank_check(n)
-        if not surj["surjective"] or not kern["consistent"]:
-            return False, f"exact rank check failed at n = {n}"
-        details.append(kern["lattice_rank"])
-        unit = cyclo.unit_group_rank(n)
-        if not unit["consistent"]:
-            return False, f"unit rank not certified at n = {n}: {unit}"
+        member, checks = cyclo.rank_checks(n)
+        if not member or not all(c["pass"] for c in checks):
+            return False, f"rank checks failed at n = {n}: {checks}"
+        details.append(checks[1]["lattice_rank"])  # kernel_rank, after projection_surjectivity
     return True, f"kernel ranks {details} for n in {list(moduli)}"
 
 

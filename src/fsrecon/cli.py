@@ -109,8 +109,7 @@ def _cmd_counterexample(args) -> int:
         f"A' = {pair.a_prime}",
     ]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, separators=(",", ":"))
+        _write_text(args.out, json.dumps(obj, separators=(",", ":")))
         print(f"wrote {args.out}")
     else:
         _emit(args, obj, lines)
@@ -142,13 +141,9 @@ def _cmd_radon(args) -> int:
 
 
 def _cmd_cyclo(args) -> int:
-    from . import cyclo, ofs
+    from . import cyclo
     if args.action == "dist":
-        cyclo._require_odd(args.n)  # before factoring n
-        checks = []
-        for p in ofs.prime_factors(args.n):
-            for j in range(args.n // p):
-                checks.append({"p": p, "j": j, "pass": cyclo.verify_distribution(args.n, p, j)})
+        checks = cyclo.distribution_checks(args.n)
         ok = all(c["pass"] for c in checks)
         obj = {"n": args.n, "checks": checks, "pass": ok}
         lines = [f"distribution relations for n={args.n}: {len(checks)} checks, pass={ok}"]
@@ -167,15 +162,7 @@ def _cmd_cyclo(args) -> int:
         )
         return 0 if ok else 1
     # ranks
-    checks = []
-    surj = cyclo.projection_surjectivity_check(args.n)
-    checks.append({"name": "projection_surjectivity", **surj, "pass": surj["surjective"]})
-    member = ofs.is_member(args.n).member
-    if member:
-        kern = cyclo.kernel_rank_check(args.n)
-        checks.append({"name": "kernel_rank", **kern, "pass": kern["consistent"]})
-        unit = cyclo.unit_group_rank(args.n)
-        checks.append({"name": "unit_rank", **unit, "pass": unit["consistent"]})
+    member, checks = cyclo.rank_checks(args.n)
     ok = all(c["pass"] for c in checks)
     obj = {"n": args.n, "member": member, "checks": checks, "pass": ok}
     lines = [f"{c['name']}: pass={c['pass']}" for c in checks]

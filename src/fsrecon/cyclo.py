@@ -45,6 +45,7 @@ __all__ = [
     "canonical",
     "unit_word_eval",
     "verify_distribution",
+    "distribution_checks",
     "fold_exponents",
     "distribution_relation_vector",
     "kernel_test",
@@ -54,6 +55,7 @@ __all__ = [
     "projection_surjectivity_check",
     "kernel_rank_check",
     "unit_group_rank",
+    "rank_checks",
 ]
 
 # Largest n the rank certificates accept, the largest n whose distribution
@@ -127,11 +129,10 @@ def _counts(d: int, exponents: Sequence[int]) -> list:
     """The coefficients of the product of (1 + t^j)^e_j over the positive
     e_j, modulo t^d - 1: the subset-sums count vector over Z/d of the
     multiset with e_j copies of j.  Each factor is one pass of adds."""
-    mass = sum(e for e in exponents if e > 0)
-    if d * mass * mass > UNIT_WORD_CAP:
+    cost = _word_cost(d, exponents)
+    if cost > UNIT_WORD_CAP:
         raise ResourceCapError(
-            f"unit word of conductor {d} and exponent mass {mass} is past"
-            f" d*mass^2 <= {UNIT_WORD_CAP}"
+            f"unit word of conductor {d} costs d*mass^2 = {cost}, past {UNIT_WORD_CAP}"
         )
     space = VectorSums(cyclic(d))
     v = space.start
@@ -171,11 +172,15 @@ def verify_distribution(n: int, p: int, j: int) -> bool:
     _require_odd(n)
     if n > DISTRIBUTION_CAP:
         raise ResourceCapError(f"distribution check capped at {DISTRIBUTION_CAP}")
-    if n % p != 0:
-        raise DomainError(f"{p} does not divide {n}")
-    if not 0 <= j < n // p:
-        raise DomainError(f"index {j} out of range for n={n}, p={p}")
     return _is_one(n, distribution_relation_vector(n, p, j))
+
+
+def distribution_checks(n: int) -> list[dict]:
+    """Every distribution relation of odd n, as {"p", "j", "pass"} rows; n
+    must be odd and positive before it is factored."""
+    _require_odd(n)
+    return [{"p": p, "j": j, "pass": verify_distribution(n, p, j)}
+            for p in prime_factors(n) for j in range(n // p)]
 
 
 def fold_exponents(n: int, d: int, x: Sequence[int]) -> tuple[int, ...]:
@@ -406,3 +411,17 @@ def unit_group_rank(n: int) -> dict:
         "expected": len(units),
         "consistent": rank == len(units),
     }
+
+
+def rank_checks(n: int) -> tuple[bool, list[dict]]:
+    """(member, checks): whether odd n is a member, and its rank
+    certificates as {"name", ..., "pass"} rows.  Every n gets the projection
+    surjectivity; a member also gets the kernel and unit ranks."""
+    surj = projection_surjectivity_check(n)
+    checks = [{"name": "projection_surjectivity", **surj, "pass": surj["surjective"]}]
+    member = is_member(n).member
+    if member:
+        kern, unit = kernel_rank_check(n), unit_group_rank(n)
+        checks += [{"name": "kernel_rank", **kern, "pass": kern["consistent"]},
+                   {"name": "unit_rank", **unit, "pass": unit["consistent"]}]
+    return member, checks

@@ -147,13 +147,10 @@ class GroupElement:
     def __sub__(self, other: GroupElement) -> GroupElement:
         return self + (-other)
 
-    def scale(self, k: int) -> GroupElement:
-        return GroupElement([k * c for c in self.coords], self.group)
-
     def __rmul__(self, k: int) -> GroupElement:
         if not isinstance(k, int):
             return NotImplemented
-        return self.scale(k)
+        return GroupElement([k * c for c in self.coords], self.group)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -2,10 +2,11 @@
 sign-flip equivalences that subset sums cannot distinguish.
 
 The subset sums of A are the group-ring element prod_{a in A} (1 + t^a), and
-adding m copies of a multiplies by (1 + t^a)^m.  ``subset_sums``, the search
-module's walk and criterion 11 run that step, and the preimage search its
-inverse, a division by 1 + t^a, through ``sums_space``, whose one predicate
-picks one of two encodings:
+adding m copies of a multiplies by (1 + t^a)^m.  Its callers run that step
+through ``sums_space``: ``subset_sums``, the regularity scan's walk, and
+``search.verify_add_subset_sums``, which multiplies A by FS(B); the preimage
+search runs it and its inverse, a division by 1 + t^a.  One predicate picks
+one of two encodings:
 
 * over a finite group of at most 2^(s + 1) elements, s the largest size
   summed, so that the 2^s sums could fill half of it, and small enough that
@@ -287,16 +288,6 @@ class Multiset:
         for x, m in self._mult.items():
             acc = acc + m * x
         return acc
-
-    def convolve(self, other: Multiset) -> Multiset:
-        """Sumset with multiplicity: count of z is sum over x+y=z of products."""
-        self._require_same_group(other)
-        counts: dict[GroupElement, int] = {}
-        for x, mx in self._mult.items():
-            for y, my in other._mult.items():
-                z = x + y
-                counts[z] = counts.get(z, 0) + mx * my
-        return Multiset(self.group, counts)
 
     def _sums(self, cap: int) -> tuple:
         """(space, sums): one step of ``sums_space`` per distinct element,

@@ -157,8 +157,11 @@ def test_sim0_command(tmp_path, capsys):
 
 def test_counterexample_writes_pair(tmp_path, capsys):
     out_path = tmp_path / "pair.json"
-    code, _ = run(capsys, "counterexample", "17", "--out", str(out_path))
-    assert code == 0
+    code, out = run(capsys, "counterexample", "17", "--out", str(out_path))
+    assert code == 0 and out == f"wrote {out_path}\n"
+    # The file holds the bytes that --json prints, one trailing newline.
+    _, printed = run(capsys, "--json", "counterexample", "17")
+    assert out_path.read_bytes() == printed.encode() and printed.endswith("}\n")
     obj = json.loads(out_path.read_text())
     assert (obj["n"], obj["d"], obj["k"], obj["verified"]) == (17, 8, 3, True)
     a = Multiset.from_obj(obj["a"])

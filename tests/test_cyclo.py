@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,11 +12,13 @@ from fsrecon.cyclo import (
     RANK_CAP,
     canonical,
     cyclotomic_poly,
+    distribution_checks,
     distribution_relation_vector,
     fold_exponents,
     kernel_rank_check,
     kernel_test,
     projection_surjectivity_check,
+    rank_checks,
     sim0_lattice_basis,
     sim0_lattice_member,
     unit_group_rank,
@@ -23,6 +26,7 @@ from fsrecon.cyclo import (
     unit_word_eval,
     verify_distribution,
 )
+from fsrecon.cli import main
 from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.groups import cyclic
 from fsrecon.multisets import Multiset
@@ -168,6 +172,24 @@ def test_distribution_cap():
     assert verify_distribution(255, 17, 3)
     with pytest.raises(ResourceCapError):
         verify_distribution(1009, 1009, 0)
+
+
+@pytest.mark.parametrize("n", [0, -3, 4])
+def test_distribution_checks_refuse_the_domain_before_factoring(monkeypatch, n):
+    monkeypatch.setattr("fsrecon.cyclo.prime_factors", lambda m: pytest.fail(f"factored {m}"))
+    with pytest.raises(DomainError, match=rf"^n must be odd and positive, got {n}$"):
+        distribution_checks(n)
+
+
+@pytest.mark.parametrize("n", [1, 15, 255])
+def test_distribution_checks_are_the_rows_cyclo_dist_prints(capsys, n):
+    checks = distribution_checks(n)
+    assert [(c["p"], c["j"]) for c in checks] == [
+        (p, j) for p in prime_factors(n) for j in range(n // p)
+    ]
+    assert all(c["pass"] for c in checks)
+    assert main(["--json", "cyclo", "dist", str(n)]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == checks
 
 
 # -- exponent folding and unit words ----------------------------------------------
@@ -381,6 +403,21 @@ def test_unit_rank_of_a_prime_matches_the_character_count(p):
     rep = unit_group_rank(p)
     assert rep["rank"] == prime_unit_rank_oracle(p)
     assert rep["consistent"] == is_member(p).member
+
+
+def test_rank_checks_of_a_member_and_a_non_member():
+    member, checks = rank_checks(9)
+    assert member
+    assert [(c["name"], c["pass"]) for c in checks] == [
+        ("projection_surjectivity", True), ("kernel_rank", True), ("unit_rank", True)
+    ]
+    assert checks[1] == {"name": "kernel_rank", **kernel_rank_check(9), "pass": True}
+    assert (checks[1]["lattice_rank"], checks[2]["rank"]) == (4, 3)
+    member, checks = rank_checks(17)
+    assert not member
+    assert checks == [
+        {"name": "projection_surjectivity", **projection_surjectivity_check(17), "pass": True}
+    ]
 
 
 def test_unit_rank_cap():

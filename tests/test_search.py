@@ -289,9 +289,3 @@ def test_add_subset_sums_rejects_two_torsion():
 def test_add_subset_sums_over_z():
     assert verify_add_subset_sums(Z, trials=100, seed=1)
 
-
-def test_empty_b_reduces_to_equality():
-    a, a2 = ms(Z5, 1, 2), ms(Z5, 1, 3)
-    fs_empty = Multiset(Z5).subset_sums()
-    assert a.convolve(fs_empty) == a
-    assert a.convolve(fs_empty) != a2.convolve(fs_empty)
