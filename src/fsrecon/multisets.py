@@ -2,11 +2,11 @@
 sign-flip equivalences that subset sums cannot distinguish.
 
 The subset sums of A are the group-ring element prod_{a in A} (1 + t^a), and
-adding m copies of a multiplies by (1 + t^a)^m.  Its callers run that step
-through ``sums_space``: ``subset_sums``, the regularity scan's walk, and
-``search.verify_add_subset_sums``, which multiplies A by FS(B); the preimage
-search runs it and its inverse, a division by 1 + t^a.  One predicate picks
-one of two encodings:
+adding m copies of a multiplies by (1 + t^a)^m.  ``subset_sums``, the
+regularity scan, ``search.verify_add_subset_sums`` and the preimage search
+run that step through ``sums_space``; the last two also run its exact
+inverse for a of odd or infinite order, ``divide(step(v, a), a) == v`` for
+nonnegative v.  One predicate picks one of two encodings:
 
 * over a finite group of at most 2^(s + 1) elements, s the largest size
   summed, so that the 2^s sums could fill half of it, and small enough that
@@ -106,10 +106,11 @@ class _MapSums:
 
     def divide(self, sums: dict, shift: Sequence[int]) -> dict | None:
         """sums / (1 + t^shift) for a shift of odd or infinite order, or None."""
-        if shift not in sums:
-            return None
         p = _halve(sums, {y: self._add(y, shift) for y in sums})
         return None if p is None else {y: c for y, c in p.items() if c}
+
+    def count(self, sums: dict, y: Sequence[int]) -> int:
+        return sums.get(y, 0)
 
     def key(self, sums: dict) -> frozenset:
         return frozenset(sums.items())
@@ -158,12 +159,13 @@ class VectorSums:
 
     def divide(self, v: list, shift: Sequence[int]) -> list | None:
         """v / (1 + t^shift) for a shift of odd order, or None."""
-        if not v[sum(map(operator.mul, shift, self._strides))]:
-            return None
         succ = self._roll(range(len(v)), [-c for c in shift])  # position of x + shift
         q = dict(compress(enumerate(v), v))
         p = _halve(q, dict(zip(q, map(succ.__getitem__, q))))
         return None if p is None else [p.get(i, 0) for i in range(len(v))]
+
+    def count(self, v: list, y: Sequence[int]) -> int:
+        return v[sum(map(operator.mul, y, self._strides))]
 
     def key(self, v: list) -> tuple:
         """The nonzero positions and their counts: as long as the number of

@@ -37,6 +37,13 @@ def fs_bruteforce(ms: Multiset) -> Multiset:
     return Multiset.from_elements(ms.group, sums)
 
 
+def times_fs_bruteforce(a: Multiset, b: Multiset) -> Multiset:
+    """A times FS(B) in the group ring by direct enumeration: x + s for each
+    element x of A and each of the 2^|B| subset sums s of B."""
+    sums = expand(fs_bruteforce(b))
+    return Multiset.from_elements(a.group, [x + s for x in expand(a) for s in sums])
+
+
 def iter_submultisets(ms: Multiset):
     """All sub-multisets, as (Multiset, total_sum) pairs."""
     items = ms.items()

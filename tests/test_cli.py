@@ -835,6 +835,18 @@ def test_selftest_negative_control(capsys):
     assert failed == [7]
 
 
+def test_selftest_reports_a_failed_construction_as_a_fail(capsys, monkeypatch):
+    """A counterexample pair that fails its own check raises inside criteria
+    4, 5 and 13: each is a FAIL carrying the error text, and the other items
+    still run."""
+    monkeypatch.setattr("fsrecon.counterexamples.sim0_check", lambda a, b: (True, None))
+    code, out = run(capsys, "--json", "selftest", "--quick")
+    items = json.loads(out)["items"]
+    assert code == 1 and len(items) == 14
+    assert [item["number"] for item in items if not item["pass"]] == [4, 5, 13]
+    assert items[4]["detail"].startswith("counterexample construction failed for n=17")
+
+
 # -- start-up --------------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.groups import GroupSpec, cyclic
-from fsrecon.multisets import Multiset, sim0_check, sim_check
+from fsrecon.multisets import Multiset, VectorSums, sim0_check, sim_check, sums_space
 from oracles import (
     all_small_groups,
     expand,
@@ -129,6 +129,42 @@ def test_subset_sums_cap(monkeypatch):
     # ... but never past the size of a finite group.
     z16 = GroupSpec((16,))
     assert len(ms(z16, *powers).subset_sums().support()) == 16
+
+
+@pytest.mark.parametrize(
+    "moduli, shifts",
+    [((9,), [(1,), (3,)]), ((5, 3), [(1, 1), (0, 2)]), ((0,), [(1,), (-3,)]),
+     ((3, 0), [(1, 0), (2, 5)])],
+    ids=["Z9", "Z5xZ3", "Z", "Z3xZ"],
+)
+def test_divide_undoes_step(moduli, shifts):
+    """Division by 1 + t^s is the inverse of the step, with s of odd order
+    in count vectors and maps and of infinite order in maps, on seeded
+    nonnegative vectors whose support omits 0."""
+    group = GroupSpec(moduli)
+    space = sums_space(group, 7)
+    assert isinstance(space, VectorSums) == group.is_finite()
+    rng = random.Random(sum(moduli) + 24)
+    for s in shifts:
+        for _ in range(40):
+            coords = [tuple(rng.randrange(m) if m else rng.randint(-4, 4) for m in moduli)
+                      for _ in range(rng.randint(1, 6))]
+            v = space.encode(Multiset.from_elements(group, [c for c in coords if any(c)]))
+            assert space.divide(space.step(v, s), s) == v, (s, v)
+
+
+@pytest.mark.parametrize(
+    "moduli, shift, order", [((9,), (3,), 3), ((9,), (1,), 9), ((3, 0), (1, 0), 3)],
+    ids=["Z9-order3", "Z9-order9", "Z3xZ-order3"],
+)
+def test_divide_refuses_an_odd_alternating_sum_on_a_cycle(moduli, shift, order):
+    """One count on each point of a coset of <s>, whose odd length leaves an
+    alternating sum of 1: twice a quotient's value would be odd."""
+    group = GroupSpec(moduli)
+    space = sums_space(group, 7)
+    x, y = group.element(shift), group.element((1,) * len(moduli))
+    v = space.encode(Multiset.from_elements(group, [k * x + y for k in range(order)]))
+    assert space.divide(v, shift) is None
 
 
 # -- flip equivalences ---------------------------------------------------------

@@ -4,12 +4,20 @@ import time
 
 import pytest
 
+from fsrecon.acceptance import run_criterion
 from fsrecon.counterexamples import z2_pair
 from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.groups import GroupSpec, cyclic
-from fsrecon.multisets import Multiset
+from fsrecon.multisets import Multiset, VectorSums, sums_space
 from fsrecon.search import fs_preimages, regularity_scan, verify_add_subset_sums
-from oracles import fs_bruteforce, preimages_by_fits, preimages_oracle, scan_oracle, sim0_orbit
+from oracles import (
+    fs_bruteforce,
+    preimages_by_fits,
+    preimages_oracle,
+    scan_oracle,
+    sim0_orbit,
+    times_fs_bruteforce,
+)
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -136,8 +144,8 @@ def _draw(group, rng, spread):
     "moduli, bound, spread, sizes",
     [((0,), None, 50, 5), ((13,), None, 0, 6), ((31,), None, 0, 5), ((257,), None, 0, 4),
      ((3, 3), None, 0, 5), ((4,), None, 0, 5), ((6,), None, 0, 5), ((2, 3), None, 0, 5),
-     ((3, 0), 2, 4, 4)],
-    ids=["Z", "Z13", "Z31", "Z257", "Z3xZ3", "Z4", "Z6", "Z2xZ3", "Z3xZ"],
+     ((12,), None, 0, 5), ((30,), None, 0, 5), ((3, 0), 2, 4, 4)],
+    ids=["Z", "Z13", "Z31", "Z257", "Z3xZ3", "Z4", "Z6", "Z2xZ3", "Z12", "Z30", "Z3xZ"],
 )
 def test_preimages_match_the_fits_enumeration(moduli, bound, spread, sizes):
     """Byte for byte the classes that the enumeration pruned by fits finds:
@@ -289,3 +297,37 @@ def test_add_subset_sums_rejects_two_torsion():
 def test_add_subset_sums_over_z():
     assert verify_add_subset_sums(Z, trials=100, seed=1)
 
+
+@pytest.mark.parametrize("moduli", [(9,), (7,), (0,), (3, 0)], ids=["Z9", "Z7", "Z", "Z3xZ"])
+def test_step_times_fs_matches_enumeration(moduli):
+    """A times FS(B) by the step that criterion 14 runs, in the encoding it
+    runs it in: count vectors over Z/9 and Z/7, maps over Z and Z/3 x Z."""
+    group = GroupSpec(moduli)
+    space = sums_space(group, 7)
+    assert isinstance(space, VectorSums) == group.is_finite()
+    rng = random.Random(sum(moduli) + 14)
+
+    def draw(lo, hi):
+        return Multiset.from_elements(group, [_draw(group, rng, 2) for _ in range(rng.randint(lo, hi))])
+
+    for _ in range(60):
+        a, b = draw(1, 4), draw(0, 3)
+        v = space.encode(a)
+        for x, m in b.items():
+            v = space.step(v, x.coords, m)
+        assert Multiset(group, space.counts(v)) == times_fs_bruteforce(a, b), (a, b)
+
+
+@pytest.mark.parametrize(
+    "mutate", [lambda step: lambda self, v, shift, m=1: v,
+               lambda step: lambda self, v, shift, m=1: step(self, v, [2 * c for c in shift], m)],
+    ids=["identity", "double-shift"],
+)
+def test_translation_check_fails_under_a_wrong_step(monkeypatch, mutate):
+    """Negative control: criterion 14 must catch a group-ring step that is
+    not multiplication by 1 + t^shift, in both encodings."""
+    for space in (sums_space(cyclic(9), 7), sums_space(Z, 7)):
+        monkeypatch.setattr(type(space), "step", mutate(type(space).step))
+    assert not verify_add_subset_sums(cyclic(9), trials=0)
+    assert not verify_add_subset_sums(Z, trials=0)
+    assert not run_criterion(14, quick=True).passed
