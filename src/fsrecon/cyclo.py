@@ -9,9 +9,9 @@ d-th root of unity w; a "unit word" is a formal integer exponent vector e on
 those generators.  Its positive part is a multiset over Z/d with e_j copies
 of j, and the product of (1 + t^j)^e_j modulo t^d - 1 is that multiset's
 subset-sums count vector, stepped by the ``multisets.VectorSums`` that
-subset sums over Z/d use.  Since the d-th cyclotomic polynomial divides
-t^d - 1, reducing the count vector once mod it gives the product in the
-field.  A word is evaluated as the pair of reduced count vectors of its
+subset sums over Z/d use, its slots sized by the exponent mass of the part.
+Since the d-th cyclotomic polynomial divides t^d - 1, reducing the count
+vector once mod it gives the product in the field.  A word is evaluated as the pair of reduced count vectors of its
 positive and its negated negative part (no inverses are computed in the
 ring); it is 1 when the difference of the two count vectors reduces to 0.
 
@@ -134,11 +134,11 @@ def _counts(d: int, exponents: Sequence[int]) -> list:
         raise ResourceCapError(
             f"unit word of conductor {d} costs d*mass^2 = {cost}, past {UNIT_WORD_CAP}"
         )
-    space = VectorSums(cyclic(d))
+    space = VectorSums(cyclic(d), sum(e for e in exponents if e > 0))
     v = space.start
     for j, e in enumerate(exponents):
         v = space.step(v, (j,), e)
-    return v
+    return space.slots(v)
 
 
 def _is_one(d: int, exponents: Sequence[int]) -> bool:

@@ -11,15 +11,17 @@ nonnegative v.  One predicate picks one of two encodings:
 * over a finite group of at most 2^(s + 1) elements, s the largest size
   summed, so that the 2^s sums could fill half of it, and small enough that
   the walk's count vectors fit in MAX_DISTINCT_SUMS counts, they are a
-  ``VectorSums`` list of counts indexed by each element's mixed-radix
-  position (lexicographic coordinate order), and one step adds to it its
-  rotation by a, once per copy;
+  ``VectorSums`` count vector: one integer with each element's count in a
+  slot of fixed width at its mixed-radix position (lexicographic coordinate
+  order), and one step adds to it its rotation by a, a mask and two shifts
+  per axis, once per copy;
 * over a group with a Z factor (sparse sums such as those of {1, 10^9}
   would need a window of width 2 * 10^9) or a larger finite group, they
   are a ``_MapSums`` map from coordinate tuples to counts.
 
-Counts are exact Python integers, and ``GroupElement``s are built only when
-sums leave the space.  ``cyclo`` steps its unit words with ``VectorSums``.
+Counts are exact: a slot's width comes from s, since no count passes 2^s.
+``GroupElement``s are built only when sums leave the space.  ``cyclo``
+steps its unit words with ``VectorSums``.
 
 ``sim_check`` decides whether A' arises from A by negating some subset,
 and ``sim0_check`` refines this to flips whose negated subset sums to zero,
@@ -126,65 +128,94 @@ class _MapSums:
 
 
 class VectorSums:
-    """Sums as count vectors: lists of exact counts, one per element of the
-    finite `group` at its mixed-radix position; a shift is an element's
+    """Sums as count vectors over the finite `group`, for multisets of at
+    most `size` elements: one integer with each element's count in a slot
+    at its mixed-radix position, lowest first.  The counts total at most
+    2^size, and a slot is the whole bytes that hold size + 3 bits: its top
+    bit, always clear, is the guard ``fits`` borrows from, and the next one
+    gives ``divide`` room for signed partial sums.  A shift is an element's
     coordinates."""
 
-    def __init__(self, group: GroupSpec):
-        mods = group.moduli
-        self.group = group
+    def __init__(self, group: GroupSpec, size: int):
+        mods, self.group, self.start = group.moduli, group, 1
         self._strides = [math.prod(mods[i + 1:]) for i in range(len(mods))]
-        self.start = [1] + [0] * (math.prod(mods) - 1)
+        self._n, self._bytes = n, b = math.prod(mods), (size + 10) // 8
+        self._axes = []  # modulus, stride in bits, and a bit at the start of each block
+        for q, s in zip(mods, self._strides):
+            starts = int.from_bytes((b"\x01" + bytes(q * s * b - 1)) * (n // (q * s)), "little")
+            self._axes.append((q, 8 * b * s, starts))
+        self._guards = int.from_bytes((bytes(b - 1) + b"\x80") * n, "little")
 
-    def _roll(self, v: Sequence[int], shift: Sequence[int]) -> Sequence[int]:
+    def _roll(self, v: int, shift: Sequence[int]) -> int:
         """v with the count at each x moved to x + shift.  Moving c along an
-        axis of modulus q and stride s rotates every block of that axis, q*s
-        counts long, by c*s."""
-        for q, s, c in zip(self.group.moduli, self._strides, shift):
-            r, block = c % q * s, q * s
+        axis of modulus q and stride s rotates each block of that axis by r =
+        c*s slots: the low k = q*s - r slots of each, which the mask (starts
+        << k slots) - starts selects, move up r slots and the rest down k."""
+        for (q, s, starts), c in zip(self._axes, shift):
+            r = c % q * s
             if r:
-                rolled = []
-                for start in range(0, len(v), block):
-                    cut = start + block - r
-                    rolled += v[cut:start + block]
-                    rolled += v[start:cut]
-                v = rolled
+                k = q * s - r
+                low = v & (starts << k) - starts
+                v = low << r | (v ^ low) >> k
         return v
 
-    def step(self, v: list, shift: Sequence[int], m: int = 1) -> list:
+    def step(self, v: int, shift: Sequence[int], m: int = 1) -> int:
         """v times (1 + t^shift)^m: m times, v plus v rolled by `shift`."""
         for _ in range(m):
-            v = list(map(operator.add, v, self._roll(v, shift)))
+            v += self._roll(v, shift)
         return v
 
-    def divide(self, v: list, shift: Sequence[int]) -> list | None:
-        """v / (1 + t^shift) for a shift of odd order, or None."""
-        succ = self._roll(range(len(v)), [-c for c in shift])  # position of x + shift
-        q = dict(compress(enumerate(v), v))
-        p = _halve(q, dict(zip(q, map(succ.__getitem__, q))))
-        return None if p is None else [p.get(i, 0) for i in range(len(v))]
+    def divide(self, v: int, shift: Sequence[int]) -> int | None:
+        """v / (1 + t^a) for a shift a of odd order o, or None.  (1 + t^a)
+        times sum_{k<o} (-t^a)^k is 2, so the quotient p is half of S_o,
+        where S_j = sum_{k<j} (-1)^k (v rolled by k*a), reached by doubling.
+        If p exists, S_j is p + (-1)^(j+1) (p rolled by j*a): nonnegative for
+        odd j, and in [-2^(size-1), 2^size], as p's counts total at most
+        2^(size-1); a slot holds it above a bias of a quarter of its range.
+        Otherwise a slot may overflow, so p is checked by stepping it back."""
+        order = math.lcm(*[q // math.gcd(c, q) for q, c in zip(self.group.moduli, shift)])
+        bias = self._guards >> 1
+        x, j = v + bias, 1
+        for bit in bin(order)[3:]:
+            rolled = self._roll(x, [j * c for c in shift])
+            x = x + rolled - bias if j % 2 == 0 else x + bias - rolled
+            j *= 2
+            if bit == "1":
+                x += self._roll(v, [j * c for c in shift])
+                j += 1
+                if not self.fits(bias, x):
+                    return None
+        p = x - bias >> 1
+        return p if p >= 0 and not p & self._guards and self.step(p, shift) == v else None
 
-    def count(self, v: list, y: Sequence[int]) -> int:
-        return v[sum(map(operator.mul, y, self._strides))]
+    def count(self, v: int, y: Sequence[int]) -> int:
+        w = 8 * self._bytes
+        return v >> w * sum(map(operator.mul, y, self._strides)) & (1 << w) - 1
 
-    def key(self, v: list) -> tuple:
-        """The nonzero positions and their counts: as long as the number of
-        distinct sums, not the size of the group."""
-        return tuple(compress(range(len(v)), v)), tuple(filter(None, v))
+    def key(self, v: int) -> int:
+        return v
 
-    def encode(self, ms: Multiset) -> list:
-        v = [0] * len(self.start)
+    def encode(self, ms: Multiset) -> int:
+        b, buf = self._bytes, bytearray(self._n * self._bytes)
         for x, c in ms.items():
-            v[sum(map(operator.mul, x.coords, self._strides))] = c
-        return v
+            i = b * sum(map(operator.mul, x.coords, self._strides))
+            buf[i:i + b] = c.to_bytes(b, "little")
+        return int.from_bytes(buf, "little")
 
-    def counts(self, v: list) -> dict:
-        radix = list(zip(self._strides, self.group.moduli))
+    def slots(self, v: int) -> list:
+        """The counts of v in mixed-radix order."""
+        b, buf = self._bytes, v.to_bytes(self._n * self._bytes, "little")
+        return [int.from_bytes(buf[i:i + b], "little") for i in range(0, len(buf), b)]
+
+    def counts(self, v: int) -> dict:
+        radix, counts = list(zip(self._strides, self.group.moduli)), self.slots(v)
         return {GroupElement([i // s % m for s, m in radix], self.group): c
-                for i, c in compress(enumerate(v), v)}
+                for i, c in compress(enumerate(counts), counts)}
 
-    def fits(self, v: list, want: list) -> bool:
-        return all(map(operator.le, v, want))
+    def fits(self, v: int, want: int) -> bool:
+        """Whether no count of v passes want's: want with every guard set,
+        less v, keeps a guard where v's count is at most want's."""
+        return (want | self._guards) - v & self._guards == self._guards
 
 
 def sums_space(group: GroupSpec, size: int, levels: int = 1) -> _MapSums | VectorSums:
@@ -196,7 +227,7 @@ def sums_space(group: GroupSpec, size: int, levels: int = 1) -> _MapSums | Vecto
     maps, whose step costs the number of distinct sums, everywhere else."""
     if (group.is_finite() and levels * group.size() <= MAX_DISTINCT_SUMS
             and group.size() <= 2 ** (size + 1)):
-        return VectorSums(group)
+        return VectorSums(group, size)
     return _MapSums(group)
 
 
@@ -307,7 +338,7 @@ class Multiset:
         room = self.group.size() if self.group.is_finite() else math.inf
         acc = space.start
         for a, m in self.items():
-            reach = min(len(acc) * (m + 1), room)
+            reach = room if room <= MAX_DISTINCT_SUMS else min(len(acc) * (m + 1), room)
             if reach > MAX_DISTINCT_SUMS:
                 raise ResourceCapError(
                     f"subset sums could reach {reach} distinct values, "
@@ -379,9 +410,11 @@ class Sim0Witness(NamedTuple):
     sum_check: GroupElement
 
 
-def _flip_form(ms: Multiset) -> tuple[tuple, frozenset]:
-    """(form, used): multisets share a form iff one arises from the other by
-    negating a zero-sum subset.
+def _flip_form(mods: Sequence[int], items: Iterable[tuple[tuple, int]]) -> tuple[tuple, frozenset]:
+    """(form, used) of the multiset over the group of moduli `mods` given by
+    `items`, (coordinates, count) pairs in coordinate order in which one
+    element may recur: multisets share a form iff one arises from the other
+    by negating a zero-sum subset.
 
     The orientation negates each element whose negation has the smaller
     coordinates.  A flip can move any count inside a pair class {x, -x}, so
@@ -393,14 +426,13 @@ def _flip_form(ms: Multiset) -> tuple[tuple, frozenset]:
     when that coordinate is in the upper half of its range, which adding a
     free element toggles.  Every pivot bit of s is cleared from the highest
     down by adding that pivot row's frees, which leaves one representative
-    per coset; `used` is the set of frees added.
+    per coset; `used` is the set of the coordinates of the frees added.
     """
-    mods = ms.group.moduli
-    halves = [m // 2 if m and m % 2 == 0 else 0 for m in mods]
+    evens = [(j, m // 2) for j, m in enumerate(mods) if m and m % 2 == 0]
     pivots: dict[int, tuple[int, frozenset]] = {}  # leading bit -> (row, the frees in it)
 
     def reduce(coords, used: frozenset) -> tuple[int, frozenset]:
-        v = sum(1 << j for j, (c, h) in enumerate(zip(coords, halves)) if h and c >= h)
+        v = sum(1 << j for j, h in evens if coords[j] >= h)
         for top in sorted(pivots, reverse=True):
             if v >> top & 1:
                 v, used = v ^ pivots[top][0], used ^ pivots[top][1]
@@ -408,29 +440,32 @@ def _flip_form(ms: Multiset) -> tuple[tuple, frozenset]:
 
     orientation: dict[tuple, int] = {}
     s = [0] * len(mods)
-    for x, c in ms.items():
-        y = x.coords
+    for y, c in items:
         neg = tuple([-u % m if m else -u for u, m in zip(y, mods)])
         if neg < y:
             s = [t + c * u for t, u in zip(s, y)]
             y = neg
         elif neg == y and any(y):  # a free element
-            v, used = reduce(y, frozenset([x]))
+            v, used = reduce(y, frozenset([y]))
             if v:
                 pivots[v.bit_length() - 1] = (v, used)
         orientation[y] = orientation.get(y, 0) + c
     s = [t % m if m else t for t, m in zip(s, mods)]
     v, used = reduce(s, frozenset())
-    reduced = tuple([t % h + h * (v >> j & 1) if h else t
-                     for j, (t, h) in enumerate(zip(s, halves))])
-    return (frozenset(orientation.items()), reduced), used
+    for j, h in evens:  # the reduced bit of each even coordinate, on its rest mod h
+        s[j] = s[j] % h + h * (v >> j & 1)
+    return (frozenset(orientation.items()), tuple(s)), used
+
+
+def _form(ms: Multiset) -> tuple[tuple, frozenset]:
+    return _flip_form(ms.group.moduli, [(x.coords, c) for x, c in ms.items()])
 
 
 def sim_check(a: Multiset, b: Multiset) -> bool:
     """Decide whether b arises from a by negating some subset: whether the
     two have one orientation, the first part of their flip forms."""
     a._require_same_group(b)
-    return _flip_form(a)[0][0] == _flip_form(b)[0][0]
+    return _form(a)[0][0] == _form(b)[0][0]
 
 
 def sim0_check(a: Multiset, b: Multiset) -> tuple[bool, Sim0Witness | None]:
@@ -440,11 +475,11 @@ def sim0_check(a: Multiset, b: Multiset) -> tuple[bool, Sim0Witness | None]:
     that one side's reduction added and not the other's, which sum to it
     too; in the 2-torsion the two cancel."""
     a._require_same_group(b)
-    (form_a, used_a), (form_b, used_b) = _flip_form(a), _flip_form(b)
+    (form_a, used_a), (form_b, used_b) = _form(a), _form(b)
     if form_a != form_b:
         return False, None
     bm = b._mult
-    counts = {x: c - bm.get(x, 0) for x, c in a._mult.items() if c > bm.get(x, 0)}
-    counts.update(dict.fromkeys(used_a ^ used_b, 1))
+    counts = {x.coords: c - bm.get(x, 0) for x, c in a._mult.items() if c > bm.get(x, 0)}
+    counts.update(dict.fromkeys(used_a ^ used_b, 1))  # the frees, by their coordinates
     flip = Multiset(a.group, counts)
     return True, Sim0Witness(flip_set=flip, sum_check=flip.total())

@@ -16,10 +16,11 @@ import random
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, ResourceCapError
-from .groups import GroupElement, GroupSpec
-from .multisets import DEFAULT_SUBSET_SUMS_CAP, Multiset, _flip_form, sums_space
+from .groups import GroupSpec
+from .multisets import DEFAULT_SUBSET_SUMS_CAP, Multiset, _flip_form, _form, sums_space
 
 __all__ = [
+    "PREIMAGE_WORK_CAP",
     "ScanReport",
     "fs_preimages",
     "regularity_scan",
@@ -27,20 +28,25 @@ __all__ = [
 ]
 
 
+# Most work a preimage search may do: the sum of the quotient lengths of the
+# nodes it visits, which a second of walking reaches.
+PREIMAGE_WORK_CAP = 400_000
+
+
 def _bounded_elements(
     group: GroupSpec, bound: int | None, limit: int | None = None
-) -> list[GroupElement]:
-    """The group's elements, or its box [-bound, bound] on Z factors, in
-    coordinate order; only the first `limit` of them when one is given.
+) -> list[tuple]:
+    """The coordinates of the group's elements, or of its box [-bound,
+    bound] on Z factors, in order; only the first `limit` when one is given.
     Those use only the first `limit` values of each coordinate, and
     itertools.product copies each range it is given, so it gets no more."""
     if bound is None and not group.is_finite():
         raise DomainError("an infinite factor needs a coordinate bound to enumerate")
     ranges = [(range(m) if m else range(-bound, bound + 1))[:limit] for m in group.moduli]
-    return [group.element(c) for c in itertools.islice(itertools.product(*ranges), limit)]
+    return list(itertools.islice(itertools.product(*ranges), limit))
 
 
-def _walk(candidates: Sequence[GroupElement], length: int, start,
+def _walk(candidates: Sequence, length: int, start,
           children: Callable) -> Iterator[tuple[tuple, object]]:
     """Depth first over nondecreasing sequences of candidates of length 0 to
     ``length``, yielding (sequence, state) in lexicographic preorder from the
@@ -80,7 +86,7 @@ def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multis
     order, whose quotient is not unique, which must fit inside it.  Over Z^k
     a node's next element is plus or minus the gap between its quotient's
     two least sums, so Z needs no bound.  Preimages larger than
-    DEFAULT_SUBSET_SUMS_CAP are refused.
+    DEFAULT_SUBSET_SUMS_CAP, and walks past PREIMAGE_WORK_CAP, are refused.
     """
     _check_bound(bound)
     group = target.group
@@ -133,7 +139,17 @@ def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multis
     # A full-size node has quotient and sums of equal total, the second
     # fitting inside the first: they are equal, so its product is the target.
     start = space.encode(target), space.start
-    found = [seq for seq, _ in _walk(candidates, m, start, children) if len(seq) == m]
+    # Work is the sum of the visited nodes' quotient lengths: the group's size
+    # on a count vector, the number of distinct sums on a map.
+    width = None if isinstance(start[0], dict) else group.size()
+    found, work = [], 0
+    for nodes, (seq, (quotient, _)) in enumerate(_walk(candidates, m, start, children), 1):
+        work += width or len(quotient)
+        if work > PREIMAGE_WORK_CAP:
+            raise ResourceCapError(f"preimage search stopped after {nodes} nodes, "
+                                   f"past the work cap {PREIMAGE_WORK_CAP}")
+        if len(seq) == m:
+            found.append(seq)
     found.sort(key=lambda seq: sorted(x.coords for x in seq))
     return _flip_classes([Multiset.from_elements(group, seq) for seq in found])
 
@@ -142,7 +158,7 @@ def _flip_classes(members: list[Multiset]) -> list[list[Multiset]]:
     """Zero-flip classes in order of first member: one per flip form."""
     classes: dict[tuple, list[Multiset]] = {}
     for m in members:
-        classes.setdefault(_flip_form(m)[0], []).append(m)
+        classes.setdefault(_form(m)[0], []).append(m)
     return list(classes.values())
 
 
@@ -193,32 +209,34 @@ def regularity_scan(
     if budget is not None and budget < 1:
         raise DomainError(f"the scan budget must be at least 1, got {budget}")
     report = ScanReport(group=group, max_size=max_size, bound=bound)
-    buckets: dict[object, list[tuple[GroupElement, ...]]] = {}
+    buckets: dict[object, list[tuple[tuple, ...]]] = {}
     # A node that uses candidate j has at least the j singletons of earlier
     # candidates before it, so the first budget + 1 nodes, the last of which
     # ends the scan as non-exhaustive, use only the first budget + 1 candidates.
-    elements = _bounded_elements(group, bound, None if budget is None else budget + 1)
+    shifts = _bounded_elements(group, bound, None if budget is None else budget + 1)
     # A level of sums per node on the walk's stack; a node's children step by elements i on.
     space = sums_space(group, max_size, levels=max_size + 1)
-    shifts = [a.coords for a in elements]
     children = lambda sums, i: ((j, space.step(sums, shifts[j])) for j in range(i, len(shifts)))
-    for seq, sums in _walk(elements, max_size, space.start, children):
-        if not seq:
-            continue
-        if budget is not None and report.checked >= budget:
+    nodes = _walk(shifts, max_size, space.start, children)
+    next(nodes)  # the root, the empty multiset
+    for seq, sums in nodes:
+        if report.checked == budget:
             report.exhaustive = False
             break
         report.checked += 1
         buckets.setdefault(space.key(sums), []).append(seq)
     if bound is not None and not group.is_finite():
         report.exhaustive = False
+    # Only the members of a bucket with two flip forms become multisets.
     violations = []
     for members in buckets.values():
         if len(members) < 2:
             continue
-        sets = [Multiset.from_elements(group, seq) for seq in members]
-        label = {m: _flip_form(m)[0] for m in sets}
-        violations += [(a, b) for a, b in itertools.combinations(sets, 2) if label[a] != label[b]]
+        label = [_flip_form(group.moduli, [(y, 1) for y in seq])[0] for seq in members]
+        if len(set(label)) > 1:
+            sets = [Multiset.from_elements(group, seq) for seq in members]
+            pairs = itertools.combinations(zip(sets, label), 2)
+            violations += [(a, b) for (a, la), (b, lb) in pairs if la != lb]
     violations.sort(key=lambda pair: (pair[0].to_json(), pair[1].to_json()))
     report.violations = violations
     return report

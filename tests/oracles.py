@@ -44,6 +44,69 @@ def times_fs_bruteforce(a: Multiset, b: Multiset) -> Multiset:
     return Multiset.from_elements(a.group, [x + s for x in expand(a) for s in sums])
 
 
+class CountLists:
+    """Subset sums over a finite group as plain lists of counts, one per
+    element in lexicographic coordinate order: the oracle for the packed
+    count vectors of ``multisets.VectorSums``.  Each operation works
+    element by element, and division solves its linear system exactly."""
+
+    def __init__(self, group: GroupSpec):
+        self.group = group
+        self.elements = [x.coords for x in group.iter_elements()]
+        self.index = {y: i for i, y in enumerate(self.elements)}
+        self.start = [1] + [0] * (len(self.elements) - 1)
+
+    def _at(self, y, shift) -> int:
+        """The position of y + shift."""
+        return self.index[tuple((u + c) % m for u, c, m in zip(y, shift, self.group.moduli))]
+
+    def encode(self, ms: Multiset) -> list[int]:
+        v = [0] * len(self.elements)
+        for x, c in ms.items():
+            v[self.index[x.coords]] += c
+        return v
+
+    def step(self, v: list[int], shift, m: int = 1) -> list[int]:
+        """v times (1 + t^shift)^m: each count also lands at y + shift."""
+        for _ in range(m):
+            out = list(v)
+            for y, c in zip(self.elements, v):
+                out[self._at(y, shift)] += c
+            v = out
+        return v
+
+    def divide(self, v: list[int], shift) -> list[int] | None:
+        """The p with step(p, shift) == v, by Gauss-Jordan elimination over
+        the rationals, or None unless it is one nonnegative integer vector."""
+        n = len(v)
+        rows = [[Fraction(0)] * n + [Fraction(c)] for c in v]
+        for x, y in enumerate(self.elements):  # p[x] adds to v[x] and v[x + shift]
+            rows[x][x] += 1
+            rows[self._at(y, shift)][x] += 1
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if rows[r][col]), None)
+            if pivot is None:
+                return None  # not a unique quotient
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            lead = rows[col][col]
+            rows[col] = [a / lead for a in rows[col]]
+            for r in range(n):
+                if r != col and rows[r][col]:
+                    f = rows[r][col]
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+        p = [row[n] for row in rows]
+        return [int(c) for c in p] if all(c >= 0 and c.denominator == 1 for c in p) else None
+
+    def count(self, v: list[int], y) -> int:
+        return v[self.index[tuple(y)]]
+
+    def fits(self, v: list[int], want: list[int]) -> bool:
+        return all(a <= b for a, b in zip(v, want))
+
+    def counts(self, v: list[int]) -> dict:
+        return {y: c for y, c in zip(self.elements, v) if c}
+
+
 def iter_submultisets(ms: Multiset):
     """All sub-multisets, as (Multiset, total_sum) pairs."""
     items = ms.items()

@@ -775,6 +775,25 @@ def test_search_scan_counts_past_int64(capsys, moduli, max_size, code, head, dig
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("moduli, extra, code, checked, violations, digest", [
+    ("[17]", ["--max-size", "4"], 1, 5984, 16,
+     "eca38b34351370b18602595cbf42f0252ed932c4199d7c781352abe12f188b63"),
+    ("[4,2]", ["--max-size", "3"], 1, 164, 272,
+     "12d0ecb49a0435c39e52338b0c8468b0407f23ff3f15974a1d084764c98bc5d9"),
+    ("[9]", ["--max-size", "5"], 0, 2001, 0,
+     "f027477a6fa198216ab4aae421327893ee0a180ce93ed255d8bcde7f1d5521b5"),
+    ("[0]", ["--max-size", "4", "--bound", "6"], 0, 2379, 0,
+     "5f35f3715c373e7547105a5f513a9545ab4dac98a877e8055f3b304d2ef06155"),
+], ids=["Z17", "Z4xZ2", "Z9", "Z"])
+def test_search_scan_prints_pinned_bytes(capsys, moduli, extra, code, checked, violations, digest):
+    # The digests pin the bytes that scans printed when count vectors were
+    # lists and every member of a shared bucket became a Multiset.
+    got, out = run(capsys, "--json", "search", "scan", "--group", f'{{"moduli":{moduli}}}', *extra)
+    obj = json.loads(out)
+    assert got == code and obj["checked"] == checked and len(obj["violations"]) == violations
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_search_invert_fs_rejects_negative_bound(tmp_path, capsys):
     path = tmp_path / "fs.json"
     path.write_text(Multiset.from_elements(cyclic(0), [0, 1]).to_json())
@@ -817,6 +836,22 @@ def test_search_invert_fs_of_many_even_order_classes_in_seconds(tmp_path, capsys
     classes = json.loads(out)["classes"]
     assert code == 0 and len(classes) == 1840 and sum(map(len, classes)) == 4080
     assert any(source.to_obj() in cls for cls in classes)
+
+
+def test_search_invert_fs_past_the_work_cap_exits_3(tmp_path, capsys):
+    # The exhaustive walk over this target visits 178,191 nodes with a
+    # 31-count quotient each, about 5.5 million against the cap of 400,000.
+    rng = random.Random(1)
+    source = Multiset.from_elements(cyclic(31), [rng.randrange(31) for _ in range(12)])
+    path = tmp_path / "fs.json"
+    path.write_text(source.subset_sums().to_json())
+    start = time.perf_counter()
+    code = main(["search", "invert-fs", "--in", str(path)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource error: preimage search stopped after ")
+    assert captured.err.count("\n") == 1 and " nodes" in captured.err
 
 
 def test_selftest_quick(capsys):

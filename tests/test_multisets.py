@@ -10,6 +10,7 @@ from fsrecon.errors import DomainError, ResourceCapError
 from fsrecon.groups import GroupSpec, cyclic
 from fsrecon.multisets import Multiset, VectorSums, sim0_check, sim_check, sums_space
 from oracles import (
+    CountLists,
     all_small_groups,
     expand,
     fs_bruteforce,
@@ -165,6 +166,100 @@ def test_divide_refuses_an_odd_alternating_sum_on_a_cycle(moduli, shift, order):
     x, y = group.element(shift), group.element((1,) * len(moduli))
     v = space.encode(Multiset.from_elements(group, [k * x + y for k in range(order)]))
     assert space.divide(v, shift) is None
+
+
+@pytest.mark.parametrize("moduli", [(9,), (3, 4), (0,)], ids=["Z9", "Z3xZ4", "Z"])
+def test_divide_refuses_an_odd_count_at_zero(moduli):
+    """Dividing by 1 + t^0 = 2 halves every count, and one count at 0 has
+    no half: in a count vector its low bit is the lowest bit of all."""
+    group = GroupSpec(moduli)
+    space, zero = sums_space(group, 7), group.zero().coords
+    assert space.divide(space.encode(Multiset.from_elements(group, [zero])), zero) is None
+    assert space.divide(space.encode(Multiset(group, {zero: 2})), zero) == space.start
+
+
+COUNT_VECTOR_GROUPS = [(9,), (12,), (3, 4), (2,) * 5, (4, 2)]
+COUNT_VECTOR_IDS = ["Z9", "Z12", "Z3xZ4", "Z2^5", "Z4xZ2"]
+
+
+def _odd_order(group, y) -> bool:
+    return math.lcm(*[m // math.gcd(c, m) for c, m in zip(y, group.moduli)]) % 2 == 1
+
+
+@pytest.mark.parametrize("moduli", COUNT_VECTOR_GROUPS, ids=COUNT_VECTOR_IDS)
+def test_count_vectors_match_the_list_oracle(moduli):
+    """Every operation of the packed count vectors against plain lists of
+    counts: encode, counts, count, step (with m > 1), divide by elements of
+    odd order, fits, and keys that are equal exactly when the vectors are.  Seeded multisets of up to four elements drawn from a small pool,
+    so that equal vectors recur."""
+    group = GroupSpec(moduli)
+    space, lists = sums_space(group, 7), CountLists(group)
+    assert isinstance(space, VectorSums)
+    rng = random.Random(sum(moduli) + 26)
+    pool = [tuple(rng.randrange(m) for m in moduli) for _ in range(4)]
+    shifts = [x.coords for x in group.iter_elements()]
+    odd = [y for y in shifts if _odd_order(group, y)]
+    seen: dict[int, list] = {}
+    for _ in range(60):
+        a = Multiset.from_elements(group, rng.choices(pool, k=rng.randint(0, 4)))
+        v, want = space.encode(a), lists.encode(a)
+        assert Multiset(group, space.counts(v)) == Multiset(group, lists.counts(want))
+        s, m = rng.choice(shifts), rng.randint(1, 3)
+        w, want_w = space.step(v, s, m), lists.step(want, s, m)
+        assert space.counts(w) == {group.element(y): c for y, c in lists.counts(want_w).items()}
+        assert all(space.count(w, y) == lists.count(want_w, y) for y in shifts)
+        assert space.fits(v, w) and space.fits(w, w)
+        assert space.fits(w, v) == lists.fits(want_w, want)
+        b = Multiset.from_elements(group, rng.choices(pool, k=2))
+        assert space.fits(space.encode(b), w) == lists.fits(lists.encode(b), want_w)
+        for y in rng.sample(odd, min(2, len(odd))):
+            got, expect = space.divide(w, y), lists.divide(want_w, y)
+            assert (got is None) == (expect is None), (a, s, m, y)
+            if got is not None:
+                assert space.counts(got) == {group.element(x): c for x, c in lists.counts(expect).items()}
+        for vec, plain in ((v, want), (w, want_w)):
+            for other, other_plain in seen.items():
+                assert (space.key(vec) == space.key(other)) == (plain == other_plain)
+            seen[vec] = plain
+
+
+@pytest.mark.parametrize("moduli", COUNT_VECTOR_GROUPS, ids=COUNT_VECTOR_IDS)
+@pytest.mark.parametrize("size", [5, 6, 8, 13, 14, 16])
+def test_count_vectors_hold_counts_at_the_width_bound(moduli, size):
+    """`size` copies of one element have the count 2^size at 0, the most a
+    multiset of `size` elements can give: a slot a bit too narrow for it, or
+    for the partial sums of a division, changes what comes back."""
+    group = GroupSpec(moduli)
+    space, lists = sums_space(group, size), CountLists(group)
+    assert isinstance(space, VectorSums)
+    zero, one = (0,) * len(moduli), (1,) * len(moduli)
+    for y in (zero, one):
+        v, want = space.step(space.start, y, size), lists.step(lists.start, y, size)
+        assert space.counts(v) == {group.element(x): c for x, c in lists.counts(want).items()}
+        assert space.count(v, zero) == want[0] and max(want) <= 2**size
+        fewer = space.step(space.start, y, size - 1)
+        assert space.fits(v, v) and space.fits(fewer, v) and not space.fits(v, fewer)
+    base = space.step(space.start, zero, size - 1)
+    for y in (x.coords for x in group.iter_elements()):
+        if _odd_order(group, y):  # 0 too, stepping to 2^size
+            assert space.divide(space.step(base, y), y) == base
+
+
+def test_a_step_along_every_axis_of_a_large_group_is_fast():
+    """One step by an element that moves all 16 axes of (Z/2)^16: a mask
+    and two shifts per axis, with no loop over its 2^15 blocks."""
+    group = GroupSpec((2,) * 16)
+    space, one = sums_space(group, 16), group.element((1,) * 16)
+    rng = random.Random(16)
+    a = Multiset.from_elements(group, [tuple(rng.randrange(2) for _ in range(16)) for _ in range(16)])
+    v = space.encode(a)
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        w = space.step(v, one.coords)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.01
+    assert w == v + space.encode(Multiset(group, {x + one: c for x, c in a.items()}))
 
 
 # -- flip equivalences ---------------------------------------------------------

@@ -261,6 +261,16 @@ def test_scan_budget_marks_non_exhaustive():
     assert report.checked == 10
 
 
+def test_budgeted_scan_of_a_large_cyclic_group_is_fast():
+    """Z/8192 to size 13 picks count vectors, whose first 3,000 nodes hold
+    few distinct sums: each step is a few shifts of one integer, whose
+    length is that of its highest nonzero count."""
+    start = time.perf_counter()
+    report = regularity_scan(cyclic(8192), 13, budget=3000)
+    assert time.perf_counter() - start < 0.3
+    assert report.checked == 3000 and not report.exhaustive and report.violations == []
+
+
 def test_scan_report_serialization():
     report = regularity_scan(Z2, 2)
     obj = report.to_obj()
