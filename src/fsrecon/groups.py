@@ -8,9 +8,8 @@ well defined.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DomainError, GroupMismatchError
 
@@ -66,13 +65,6 @@ class GroupSpec:
     def element(self, coords: Sequence[int]) -> GroupElement:
         """Build an element from integer-valued coordinates."""
         return GroupElement([int(c) for c in coords], self)
-
-    def iter_elements(self) -> Iterator[GroupElement]:
-        """All elements in lexicographic coordinate order; finite groups only."""
-        if not self.is_finite():
-            raise DomainError(f"cannot enumerate the infinite group {self}")
-        for coords in itertools.product(*(range(m) for m in self.moduli)):
-            yield GroupElement(coords, self)
 
     def to_obj(self) -> dict:
         return {"moduli": list(self.moduli)}
@@ -151,9 +143,6 @@ class GroupElement:
         if not isinstance(k, int):
             return NotImplemented
         return GroupElement([k * c for c in self.coords], self.group)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def to_obj(self) -> list[int]:
         return list(self.coords)

@@ -6,18 +6,22 @@ adding m copies of a multiplies by (1 + t^a)^m.  ``subset_sums``, the
 regularity scan, ``search.verify_add_subset_sums`` and the preimage search
 run that step through ``sums_space``; the last two also run its exact
 inverse for a of odd or infinite order, ``divide(step(v, a), a) == v`` for
-nonnegative v.  One predicate picks one of two encodings:
+nonnegative v.  One predicate picks one of two encodings, s the largest size:
 
-* over a finite group of at most 2^(s + 1) elements, s the largest size
-  summed, so that the 2^s sums could fill half of it, and small enough that
-  the walk's count vectors fit in MAX_DISTINCT_SUMS counts, they are a
-  ``VectorSums`` count vector: one integer with each element's count in a
-  slot of fixed width at its mixed-radix position (lexicographic coordinate
-  order), and one step adds to it its rotation by a, a mask and two shifts
-  per axis, once per copy;
-* over a group with a Z factor (sparse sums such as those of {1, 10^9}
-  would need a window of width 2 * 10^9) or a larger finite group, they
-  are a ``_MapSums`` map from coordinate tuples to counts.
+* over a finite group small enough for its sums they are a ``VectorSums``
+  count vector: one integer with each element's count in a slot of fixed
+  width at its mixed-radix position (lexicographic coordinate order), and
+  one step adds to it its rotation by a, a mask and two shifts per axis,
+  once per copy.  A caller that reads sums back needs at most 2^(s + 1)
+  elements, which the 2^s sums could fill half of.  The scan only steps
+  and compares keys, so a vector no larger than a map key of 2^s sums will
+  do: at size 2, Z/257 scans in 0.05 s on vectors against 0.18 s on maps,
+  and Z/1001 in 4.7 s on maps against 5.0-6.4 s on vectors (in process, on
+  a 2-CPU Xeon share);
+* elsewhere they are a ``_MapSums`` map from coordinate tuples to counts,
+  as over Z, whose sums such as those of {1, 10^9} would need a window of
+  width 2 * 10^9; the scan's box bounds its sums, so it keys them over a
+  finite window (``search.regularity_scan``).
 
 Counts are exact: a slot's width comes from s, since no count passes 2^s.
 ``GroupElement``s are built only when sums leave the space.  ``cyclo``
@@ -35,7 +39,7 @@ import json
 import math
 import operator
 from itertools import compress
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, GroupMismatchError, ResourceCapError
 from .groups import GroupElement, GroupSpec
@@ -55,6 +59,7 @@ DEFAULT_SUBSET_SUMS_CAP = 24
 # Most distinct sums subset_sums builds: its time and memory grow with that
 # count, which over Z doubles with every new element.
 MAX_DISTINCT_SUMS = 2**20
+MAP_ENTRY_BYTES = 160  # bytes per entry of a map's key, measured as sums_space states
 
 
 def _halve(q: dict, after: dict) -> dict | None:
@@ -106,6 +111,10 @@ class _MapSums:
                 out[z] = out.get(z, 0) + c * w
         return out
 
+    def stepper(self, shift: Sequence[int]) -> Callable[[dict], dict]:
+        """sums -> step(sums, shift), for a caller that steps by `shift` often."""
+        return lambda sums: self.step(sums, shift)
+
     def divide(self, sums: dict, shift: Sequence[int]) -> dict | None:
         """sums / (1 + t^shift) for a shift of odd or infinite order, or None."""
         p = _halve(sums, {y: self._add(y, shift) for y in sums})
@@ -127,6 +136,10 @@ class _MapSums:
         return all(c <= want.get(y, 0) for y, c in sums.items())
 
 
+def _slot_bytes(size: int) -> int:  # the whole bytes that hold size + 3 bits
+    return (size + 10) // 8
+
+
 class VectorSums:
     """Sums as count vectors over the finite `group`, for multisets of at
     most `size` elements: one integer with each element's count in a slot
@@ -139,31 +152,38 @@ class VectorSums:
     def __init__(self, group: GroupSpec, size: int):
         mods, self.group, self.start = group.moduli, group, 1
         self._strides = [math.prod(mods[i + 1:]) for i in range(len(mods))]
-        self._n, self._bytes = n, b = math.prod(mods), (size + 10) // 8
+        self._n, self._bytes = n, b = math.prod(mods), _slot_bytes(size)
         self._axes = []  # modulus, stride in bits, and a bit at the start of each block
         for q, s in zip(mods, self._strides):
             starts = int.from_bytes((b"\x01" + bytes(q * s * b - 1)) * (n // (q * s)), "little")
             self._axes.append((q, 8 * b * s, starts))
         self._guards = int.from_bytes((bytes(b - 1) + b"\x80") * n, "little")
 
-    def _roll(self, v: int, shift: Sequence[int]) -> int:
-        """v with the count at each x moved to x + shift.  Moving c along an
-        axis of modulus q and stride s rotates each block of that axis by r =
-        c*s slots: the low k = q*s - r slots of each, which the mask (starts
-        << k slots) - starts selects, move up r slots and the rest down k."""
-        for (q, s, starts), c in zip(self._axes, shift):
-            r = c % q * s
-            if r:
-                k = q * s - r
-                low = v & (starts << k) - starts
-                v = low << r | (v ^ low) >> k
+    def _rotations(self, shift: Sequence[int]) -> list:
+        """(r, k, starts) for each axis `shift` moves, by r bits in each block of r + k."""
+        return [(c % q * s, (q - c % q) * s, starts)
+                for (q, s, starts), c in zip(self._axes, shift) if c % q]
+
+    def _roll(self, v: int, rotations: list) -> int:
+        """v with the count at each x moved to x + shift, given the rotations
+        of `shift`: the low k bits of each block, which the mask (starts <<
+        k) - starts selects, move up r bits and the rest down k."""
+        for r, k, starts in rotations:
+            low = v & (starts << k) - starts
+            v = low << r | (v ^ low) >> k
         return v
 
     def step(self, v: int, shift: Sequence[int], m: int = 1) -> int:
         """v times (1 + t^shift)^m: m times, v plus v rolled by `shift`."""
+        rotations = self._rotations(shift)
         for _ in range(m):
-            v += self._roll(v, shift)
+            v += self._roll(v, rotations)
         return v
+
+    def stepper(self, shift: Sequence[int]) -> Callable[[int], int]:
+        """v -> step(v, shift), with the rotations of `shift` worked out once."""
+        rotations = self._rotations(shift)
+        return lambda v: v + self._roll(v, rotations)
 
     def divide(self, v: int, shift: Sequence[int]) -> int | None:
         """v / (1 + t^a) for a shift a of odd order o, or None.  (1 + t^a)
@@ -177,11 +197,11 @@ class VectorSums:
         bias = self._guards >> 1
         x, j = v + bias, 1
         for bit in bin(order)[3:]:
-            rolled = self._roll(x, [j * c for c in shift])
+            rolled = self._roll(x, self._rotations([j * c for c in shift]))
             x = x + rolled - bias if j % 2 == 0 else x + bias - rolled
             j *= 2
             if bit == "1":
-                x += self._roll(v, [j * c for c in shift])
+                x += self._roll(v, self._rotations([j * c for c in shift]))
                 j += 1
                 if not self.fits(bias, x):
                     return None
@@ -218,15 +238,19 @@ class VectorSums:
         return (want | self._guards) - v & self._guards == self._guards
 
 
-def sums_space(group: GroupSpec, size: int, levels: int = 1) -> _MapSums | VectorSums:
+def sums_space(group: GroupSpec, size: int, levels: int = 1,
+               unpacks: bool = True) -> _MapSums | VectorSums:
     """The encoding of the subset sums of multisets of at most `size`
     elements over `group`, for a caller that holds `levels` of them at once:
-    count vectors, whose step costs the size of the group, when it is
-    finite, `levels` vectors fit in MAX_DISTINCT_SUMS counts and it has at
-    most 2^(size + 1) elements, which the 2^size sums could fill half of;
-    maps, whose step costs the number of distinct sums, everywhere else."""
-    if (group.is_finite() and levels * group.size() <= MAX_DISTINCT_SUMS
-            and group.size() <= 2 ** (size + 1)):
+    count vectors, whose step costs the size of the group, when it is finite,
+    `levels` vectors fit in MAX_DISTINCT_SUMS counts, and either the caller
+    `unpacks` sums (counts, divides or lists them) and the group has at most
+    2^(size + 1) elements, or a vector's bytes are at most those of a map key
+    of 2^size entries of MAP_ENTRY_BYTES (tracemalloc put 2,000 keys of
+    one-coordinate sums at 162-176 bytes an entry); maps elsewhere."""
+    if group.is_finite() and levels * group.size() <= MAX_DISTINCT_SUMS and (
+            group.size() <= 2 ** (size + 1) if unpacks
+            else group.size() * _slot_bytes(size) <= MAP_ENTRY_BYTES << size):
         return VectorSums(group, size)
     return _MapSums(group)
 

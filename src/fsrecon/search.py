@@ -198,10 +198,14 @@ def regularity_scan(
     that are not zero-flip equivalent.
 
     Multisets are bucketed by their exact subset-sums multiset; only pairs
-    of one bucket with different flip forms violate.  The scan walks the
-    multisets depth first, each one extending the subset sums of its prefix,
-    so when the budget runs out no size has been fully checked; the report
-    is then flagged non-exhaustive.
+    of one bucket with different flip forms violate.  A sum of at most
+    max_size elements of the box has each Z coordinate in [-max_size*bound,
+    max_size*bound], on which reduction modulo the window 2*max_size*bound +
+    1 is one to one.  So sums are equal over the group exactly when they are
+    over the finite group with each Z made Z/window, which the buckets are
+    keyed on.  The scan walks the multisets depth first, each one extending
+    the subset sums of its prefix, so when the budget runs out no size has
+    been fully checked; the report is then flagged non-exhaustive.
     """
     if max_size < 1:
         raise DomainError(f"the scan needs a maximum size of at least 1, got {max_size}")
@@ -214,19 +218,17 @@ def regularity_scan(
     # candidates before it, so the first budget + 1 nodes, the last of which
     # ends the scan as non-exhaustive, use only the first budget + 1 candidates.
     shifts = _bounded_elements(group, bound, None if budget is None else budget + 1)
+    window = GroupSpec([m or 2 * max_size * bound + 1 for m in group.moduli])
     # A level of sums per node on the walk's stack; a node's children step by elements i on.
-    space = sums_space(group, max_size, levels=max_size + 1)
-    children = lambda sums, i: ((j, space.step(sums, shifts[j])) for j in range(i, len(shifts)))
+    space = sums_space(window, max_size, levels=max_size + 1, unpacks=False)
+    steps = [space.stepper(x) for x in shifts]
+    children = lambda sums, i: ((j, steps[j](sums)) for j in range(i, len(steps)))
     nodes = _walk(shifts, max_size, space.start, children)
-    next(nodes)  # the root, the empty multiset
-    for seq, sums in nodes:
-        if report.checked == budget:
-            report.exhaustive = False
-            break
-        report.checked += 1
+    # After the root, the empty multiset, as many as the budget allows.
+    for seq, sums in itertools.islice(nodes, 1, None if budget is None else budget + 1):
         buckets.setdefault(space.key(sums), []).append(seq)
-    if bound is not None and not group.is_finite():
-        report.exhaustive = False
+    report.checked = sum(map(len, buckets.values()))
+    report.exhaustive = group.is_finite() and next(nodes, None) is None
     # Only the members of a bucket with two flip forms become multisets.
     violations = []
     for members in buckets.values():

@@ -10,9 +10,22 @@ import json
 from fractions import Fraction
 
 from fsrecon.cyclo import cyclotomic_poly
+from fsrecon.errors import DomainError
 from fsrecon.groups import GroupElement, GroupSpec
 from fsrecon.multisets import Multiset
 from fsrecon.radon import FunctionTable, RadonImage
+
+
+def iter_elements(group: GroupSpec):
+    """Every element of a finite group, in lexicographic coordinate order."""
+    if not group.is_finite():
+        raise DomainError(f"cannot enumerate the infinite group {group}")
+    for coords in itertools.product(*(range(m) for m in group.moduli)):
+        yield group.element(coords)
+
+
+def is_zero(x: GroupElement) -> bool:
+    return not any(x.coords)
 
 
 def expand(ms: Multiset) -> list[GroupElement]:
@@ -52,7 +65,7 @@ class CountLists:
 
     def __init__(self, group: GroupSpec):
         self.group = group
-        self.elements = [x.coords for x in group.iter_elements()]
+        self.elements = [x.coords for x in iter_elements(group)]
         self.index = {y: i for i, y in enumerate(self.elements)}
         self.start = [1] + [0] * (len(self.elements) - 1)
 
@@ -138,7 +151,7 @@ def sim_oracle(a: Multiset, b: Multiset) -> bool:
 
 def sim0_orbit(a: Multiset) -> set[Multiset]:
     """Every multiset that negating a zero-sum sub-multiset of a gives."""
-    return {flip(a, sub) for sub, total in iter_submultisets(a) if total.is_zero()}
+    return {flip(a, sub) for sub, total in iter_submultisets(a) if is_zero(total)}
 
 
 def sim0_oracle(a: Multiset, b: Multiset) -> bool:

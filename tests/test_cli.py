@@ -930,7 +930,7 @@ def test_pure_integer_commands_load_no_numpy(tmp_path):
             0, "group Z, sizes <= 2, checked 20, exhaustive=False\nviolations: 0\n",
         ),
         (["cyclo", "kernel-test", "5", "--vector", "0,1,2,-2,-1"], 0, "kernel test for n=5: True\n"),
-        # Subset sums as count vectors, except for the Z/17 scan at size 2.
+        # Subset sums as count vectors, the scans over Z on their window.
         (
             ["fs", "--in", str(tmp_path / "a.json")],
             0, '{"group":{"moduli":[6]},"elements":[[[0],2],[[1],1],[[2],1],[[3],2],[[4],1],[[5],1]]}\n',

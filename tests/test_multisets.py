@@ -15,6 +15,8 @@ from oracles import (
     expand,
     fs_bruteforce,
     flip,
+    is_zero,
+    iter_elements,
     iter_submultisets,
     sim0_oracle,
     sim_oracle,
@@ -197,7 +199,7 @@ def test_count_vectors_match_the_list_oracle(moduli):
     assert isinstance(space, VectorSums)
     rng = random.Random(sum(moduli) + 26)
     pool = [tuple(rng.randrange(m) for m in moduli) for _ in range(4)]
-    shifts = [x.coords for x in group.iter_elements()]
+    shifts = [x.coords for x in iter_elements(group)]
     odd = [y for y in shifts if _odd_order(group, y)]
     seen: dict[int, list] = {}
     for _ in range(60):
@@ -240,7 +242,7 @@ def test_count_vectors_hold_counts_at_the_width_bound(moduli, size):
         fewer = space.step(space.start, y, size - 1)
         assert space.fits(v, v) and space.fits(fewer, v) and not space.fits(v, fewer)
     base = space.step(space.start, zero, size - 1)
-    for y in (x.coords for x in group.iter_elements()):
+    for y in (x.coords for x in iter_elements(group)):
         if _odd_order(group, y):  # 0 too, stepping to 2^size
             assert space.divide(space.step(base, y), y) == base
 
@@ -274,7 +276,7 @@ def test_sim_examples():
 
 def test_sim0_trivial_on_equal():
     ok, witness = sim0_check(ms(Z5, 1, 4), ms(Z5, 4, 1))
-    assert ok and witness.flip_set == Multiset(Z5, {}) and witness.sum_check.is_zero()
+    assert ok and witness.flip_set == Multiset(Z5, {}) and is_zero(witness.sum_check)
 
 
 def test_sim0_forced_flip_fails():
@@ -298,12 +300,12 @@ def test_sim0_witness_is_valid():
     g = cyclic(9)
     for _ in range(200):
         a = Multiset.from_elements(g, (rng.randint(0, 8) for _ in range(4)))
-        subs = [s for s, total in iter_submultisets(a) if total.is_zero()]
+        subs = [s for s, total in iter_submultisets(a) if is_zero(total)]
         b = flip(a, subs[rng.randrange(len(subs))])
         ok, witness = sim0_check(a, b)
         assert ok
         assert witness.flip_set in {sub for sub, _ in iter_submultisets(a)}
-        assert witness.sum_check.is_zero()
+        assert is_zero(witness.sum_check)
         assert flip(a, witness.flip_set) == b
 
 
@@ -326,7 +328,7 @@ def test_sim_sim0_agree_with_exhaustive_oracle():
                 assert ok == sim0_oracle(a, b)
                 if ok:
                     assert flip(a, witness.flip_set) == b
-                    assert witness.sum_check.is_zero()
+                    assert is_zero(witness.sum_check)
             other = Multiset.from_elements(
                 g, (rng.choice(elements) for _ in range(size))
             )
@@ -342,8 +344,8 @@ def test_sim0_agrees_with_the_oracle_on_dependent_free_elements():
     every pivot of the free elements' span."""
     rng = random.Random(13)
     g = GroupSpec((4, 4, 2))
-    frees = [x for x in g.iter_elements() if x == -x and not x.is_zero()]
-    elements = list(g.iter_elements())
+    frees = [x for x in iter_elements(g) if x == -x and not is_zero(x)]
+    elements = list(iter_elements(g))
     for _ in range(150):
         a = ms(g, *rng.choices(frees, k=rng.randint(2, 5)),
                *rng.choices(elements, k=rng.randint(1, 3)))
@@ -351,7 +353,7 @@ def test_sim0_agrees_with_the_oracle_on_dependent_free_elements():
         ok, witness = sim0_check(a, b)
         assert ok == sim0_oracle(a, b), (a, b)
         if ok:
-            assert flip(a, witness.flip_set) == b and witness.sum_check.is_zero()
+            assert flip(a, witness.flip_set) == b and is_zero(witness.sum_check)
 
 
 def test_flip_keeps_subset_sums_iff_zero_sum():
@@ -366,7 +368,7 @@ def test_flip_keeps_subset_sums_iff_zero_sum():
         flipped = flip(a, sub)
         shifted = [(y - total, m) for y, m in a.subset_sums().items()]
         assert flipped.subset_sums() == Multiset(g, shifted)
-        if total.is_zero():
+        if is_zero(total):
             assert flipped.subset_sums() == a.subset_sums()
 
 
@@ -433,6 +435,6 @@ def test_sim0_decides_thirty_one_free_elements_quickly():
         assert time.perf_counter() - start < 1.0
         assert ok is equivalent and sim_check(a, b)
         if ok:
-            assert witness.sum_check.is_zero()
+            assert is_zero(witness.sum_check)
             assert flip(a, witness.flip_set) == b
             assert all(witness.flip_set.multiplicity(x) == 1 for x in frees)

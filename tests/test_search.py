@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -192,8 +193,9 @@ def test_preimage_search_is_not_exponential(moduli, size, values):
 @pytest.mark.parametrize(
     "group, max_size, bound",
     [(Z2, 4, None), (cyclic(4), 3, None), (cyclic(6), 3, None), (GroupSpec((2, 2)), 3, None),
-     (GroupSpec((3, 0)), 2, 1)],
-    ids=["Z2", "Z4", "Z6", "Z2xZ2", "Z3xZ"],
+     (GroupSpec((3, 0)), 2, 1), (Z, 3, 2), (Z, 1, 3), (GroupSpec((0, 0)), 2, 1),
+     (GroupSpec((2, 0)), 3, 1), (cyclic(11), 2, None), (cyclic(21), 2, None)],
+    ids=["Z2", "Z4", "Z6", "Z2xZ2", "Z3xZ", "Z", "Z-size1", "ZxZ", "Z2xZ", "Z11", "Z21"],
 )
 def test_scan_matches_bruteforce_oracle(group, max_size, bound):
     report = regularity_scan(group, max_size, bound=bound)
@@ -244,7 +246,7 @@ def test_scan_z3_with_z_factor_clean():
 @pytest.mark.parametrize(
     "group, max_size, bound, budget",
     [(Z2, 4, None, 4), (Z2, 4, None, 5), (Z2, 4, None, 13), (cyclic(4), 3, None, 20),
-     (GroupSpec((3, 0)), 2, 1, 7), (Z5, 1, None, 3), (Z5, 2, None, 100)],
+     (GroupSpec((3, 0)), 2, 1, 7), (Z5, 1, None, 3), (Z5, 2, None, 100), (Z, 3, 3, 17)],
 )
 def test_budgeted_scan_matches_oracle_prefix(group, max_size, bound, budget):
     report = regularity_scan(group, max_size, bound=bound, budget=budget)
@@ -269,6 +271,28 @@ def test_budgeted_scan_of_a_large_cyclic_group_is_fast():
     report = regularity_scan(cyclic(8192), 13, budget=3000)
     assert time.perf_counter() - start < 0.3
     assert report.checked == 3000 and not report.exhaustive and report.violations == []
+
+
+def test_scan_of_a_wide_box_stays_small():
+    """Sums of two elements of [-10^6, 10^6] span a window of 4*10^6 + 1
+    values: the first 20 multisets must not cost a count per value each."""
+    tracemalloc.start()
+    try:
+        report = regularity_scan(Z, 2, bound=10**6, budget=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.checked == 20 and not report.exhaustive and report.violations == []
+    assert peak < 2**20
+
+
+def test_scan_of_a_cyclic_group_past_twice_its_sums_is_fast():
+    """Z/33 has more than 2^(4 + 1) elements, yet a count vector is smaller
+    than a key of the 2^4 sums of a multiset of size 4 as a map."""
+    start = time.perf_counter()
+    report = regularity_scan(cyclic(33), 4)
+    assert time.perf_counter() - start < 0.6
+    assert report.checked == 66044 and report.exhaustive and report.violations == []
 
 
 def test_scan_report_serialization():
