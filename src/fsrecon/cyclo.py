@@ -239,9 +239,7 @@ def unit_signature(ms) -> tuple:
     if len(moduli) != 1 or moduli[0] < 1 or moduli[0] % 2 == 0:
         raise DomainError("unit signatures need a multiset over odd Z/n")
     n = moduli[0]
-    mu = [0] * n
-    for x, m in ms.items():
-        mu[x.coords[0]] = m
+    mu = [ms._mult.get((x,), 0) for x in range(n)]
     return tuple(
         (d, canonical(d, _counts(d, fold_exponents(n, d, mu))))
         for d in divisors(n)

@@ -1,14 +1,15 @@
 """Finitely generated abelian groups as explicit products of cyclic factors.
 
 A group is described by a tuple of moduli: entry ``m >= 1`` stands for the
-integers mod m, entry ``0`` for an infinite cyclic factor.  Elements are
-coordinate vectors, reduced into [0, m) on every finite factor by the one
-constructor that builds them all, so that value equality and hashing are
-well defined.
+integers mod m, entry ``0`` for an infinite cyclic factor.  Elements, and
+the keys of multisets, are integer coordinates that ``GroupSpec.reduce``
+puts into [0, m) on every finite factor, so that value equality and hashing
+are well defined.
 """
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from .errors import DomainError, GroupMismatchError
@@ -63,8 +64,18 @@ class GroupSpec:
         return GroupElement((0,) * len(self.moduli), self)
 
     def element(self, coords: Sequence[int]) -> GroupElement:
-        """Build an element from integer-valued coordinates."""
-        return GroupElement([int(c) for c in coords], self)
+        """Build an element from integer coordinates."""
+        return GroupElement(coords, self)
+
+    def reduce(self, coords: Sequence[int]) -> tuple[int, ...]:
+        """Integer coordinates, each finite one reduced into [0, m)."""
+        mods = self.moduli
+        try:
+            if len(coords) == len(mods):
+                return tuple([c % m if m else c for c, m in zip(map(operator.index, coords), mods)])
+        except TypeError:
+            raise DomainError(f"coordinates {coords!r} are not a sequence of integers") from None
+        raise DomainError(f"expected {len(mods)} coordinates, got {len(coords)}")
 
     def to_obj(self) -> dict:
         return {"moduli": list(self.moduli)}
@@ -89,17 +100,12 @@ def cyclic(n: int) -> GroupSpec:
 
 
 class GroupElement:
-    """Built from any integer coordinates, of which each finite one is
-    stored reduced into [0, m)."""
+    """Built from any integer coordinates, stored as ``GroupSpec.reduce`` gives them."""
 
     __slots__ = ("coords", "group")
 
     def __init__(self, coords: Sequence[int], group: GroupSpec):
-        moduli = group.moduli
-        if len(coords) != len(moduli):
-            raise DomainError(f"expected {len(moduli)} coordinates, got {len(coords)}")
-        canon = tuple([c % m if m else c for c, m in zip(coords, moduli)])
-        object.__setattr__(self, "coords", canon)
+        object.__setattr__(self, "coords", group.reduce(coords))
         object.__setattr__(self, "group", group)
 
     def __setattr__(self, name, value):

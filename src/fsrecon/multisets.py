@@ -24,8 +24,8 @@ nonnegative v.  One predicate picks one of two encodings, s the largest size:
   finite window (``search.regularity_scan``).
 
 Counts are exact: a slot's width comes from s, since no count passes 2^s.
-``GroupElement``s are built only when sums leave the space.  ``cyclo``
-steps its unit words with ``VectorSums``.
+Both encodings read and give back coordinate tuples, a ``Multiset``'s keys,
+and build no ``GroupElement``; ``cyclo`` steps unit words with ``VectorSums``.
 
 ``sim_check`` decides whether A' arises from A by negating some subset,
 and ``sim0_check`` refines this to flips whose negated subset sums to zero,
@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from itertools import compress
+from itertools import compress, product
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, GroupMismatchError, ResourceCapError
@@ -127,10 +127,10 @@ class _MapSums:
         return frozenset(sums.items())
 
     def encode(self, ms: Multiset) -> dict:
-        return {x.coords: c for x, c in ms.items()}
+        return dict(ms._mult)
 
     def counts(self, sums: dict) -> dict:
-        return sums  # Multiset coerces each coordinate tuple
+        return dict(sorted(sums.items()))
 
     def fits(self, sums: dict, want: dict) -> bool:
         return all(c <= want.get(y, 0) for y, c in sums.items())
@@ -217,8 +217,8 @@ class VectorSums:
 
     def encode(self, ms: Multiset) -> int:
         b, buf = self._bytes, bytearray(self._n * self._bytes)
-        for x, c in ms.items():
-            i = b * sum(map(operator.mul, x.coords, self._strides))
+        for x, c in ms._mult.items():
+            i = b * sum(map(operator.mul, x, self._strides))
             buf[i:i + b] = c.to_bytes(b, "little")
         return int.from_bytes(buf, "little")
 
@@ -228,9 +228,8 @@ class VectorSums:
         return [int.from_bytes(buf[i:i + b], "little") for i in range(0, len(buf), b)]
 
     def counts(self, v: int) -> dict:
-        radix, counts = list(zip(self._strides, self.group.moduli)), self.slots(v)
-        return {GroupElement([i // s % m for s, m in radix], self.group): c
-                for i, c in compress(enumerate(counts), counts)}
+        counts = self.slots(v)
+        return dict(compress(zip(product(*map(range, self.group.moduli)), counts), counts))
 
     def fits(self, v: int, want: int) -> bool:
         """Whether no count of v passes want's: want with every guard set,
@@ -255,36 +254,41 @@ def sums_space(group: GroupSpec, size: int, levels: int = 1,
     return _MapSums(group)
 
 
-def _coerce(group: GroupSpec, value) -> GroupElement:
+def _coerce(group: GroupSpec, value) -> tuple[int, ...]:
+    """The canonical coordinates of an element of `group` given as an element,
+    a sequence of integer coordinates or, on a group of one factor, an int."""
     if isinstance(value, GroupElement):
         if value.group != group:
             raise GroupMismatchError(f"element {value!r} is not in {group}")
-        return value
+        return value.coords
     if isinstance(value, (tuple, list)):
-        return group.element(value)
+        return group.reduce(value)
     if isinstance(value, int) and len(group.moduli) == 1:
-        return group.element((value,))
+        return group.reduce((value,))
     raise DomainError(f"cannot interpret {value!r} as an element of {group}")
 
 
 class Multiset:
-    """Immutable multiplicity map from group elements to positive integers."""
+    """Immutable map from canonical coordinate tuples, in coordinate order, to
+    positive counts; every key from outside passes ``_coerce``, and only
+    ``support``, ``items`` and ``total`` build ``GroupElement``s."""
 
     __slots__ = ("group", "_mult", "_hash")
 
     def __init__(self, group: GroupSpec, counts: Mapping | Iterable | None = None):
-        store: dict[GroupElement, int] = {}
-        if counts:
-            pairs = counts.items() if isinstance(counts, Mapping) else counts
-            for x, m in pairs:
-                x = _coerce(group, x)
-                m = int(m)
-                if m < 0:
-                    raise DomainError(f"negative multiplicity {m} for {x}")
-                if m:
-                    store[x] = store.get(x, 0) + m
+        store: dict[tuple, int] = {}
+        for x, m in (counts.items() if isinstance(counts, Mapping) else counts or ()):
+            x = _coerce(group, x)
+            try:
+                m = operator.index(m)
+            except TypeError:
+                raise DomainError(f"multiplicity {m!r} for {x} is not an integer") from None
+            if m < 0:
+                raise DomainError(f"negative multiplicity {m} for {x}")
+            if m:
+                store[x] = store.get(x, 0) + m
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "_mult", store)
+        object.__setattr__(self, "_mult", dict(sorted(store.items())))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -304,10 +308,10 @@ class Multiset:
         return self._mult.get(_coerce(self.group, x), 0)
 
     def support(self) -> list[GroupElement]:
-        return sorted(self._mult, key=lambda e: e.coords)
+        return [GroupElement(x, self.group) for x in self._mult]
 
     def items(self) -> list[tuple[GroupElement, int]]:
-        return [(x, self._mult[x]) for x in self.support()]
+        return [(GroupElement(x, self.group), m) for x, m in self._mult.items()]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multiset):
@@ -337,14 +341,12 @@ class Multiset:
 
     def scale(self, k: int) -> Multiset:
         """The image under x -> k*x; the counts of merged elements add."""
-        return Multiset(self.group, ((k * x, m) for x, m in self._mult.items()))
+        return Multiset(self.group, (([k * u for u in x], m) for x, m in self._mult.items()))
 
     def total(self) -> GroupElement:
         """Sum of all elements counted with multiplicity."""
-        acc = self.group.zero()
-        for x, m in self._mult.items():
-            acc = acc + m * x
-        return acc
+        mult, axes = self._mult.items(), range(len(self.group.moduli))
+        return GroupElement([sum(m * x[j] for x, m in mult) for j in axes], self.group)
 
     def _sums(self, cap: int) -> tuple:
         """(space, sums): one step of ``sums_space`` per distinct element,
@@ -361,20 +363,22 @@ class Multiset:
         space = sums_space(self.group, size)
         room = self.group.size() if self.group.is_finite() else math.inf
         acc = space.start
-        for a, m in self.items():
+        for a, m in self._mult.items():
             reach = room if room <= MAX_DISTINCT_SUMS else min(len(acc) * (m + 1), room)
             if reach > MAX_DISTINCT_SUMS:
                 raise ResourceCapError(
                     f"subset sums could reach {reach} distinct values, "
                     f"over the cap {MAX_DISTINCT_SUMS}"
                 )
-            acc = space.step(acc, a.coords, m)
+            acc = space.step(acc, a, m)
         return space, acc
 
     def subset_sums(self, cap: int = DEFAULT_SUBSET_SUMS_CAP) -> Multiset:
         """The multiset of all 2^|A| subset totals."""
         space, acc = self._sums(cap)
-        return Multiset(self.group, space.counts(acc))
+        fs = Multiset(self.group)  # counts are keyed canonically, in coordinate order
+        object.__setattr__(fs, "_mult", space.counts(acc))
+        return fs
 
     def same_subset_sums(self, other: Multiset, cap: int = DEFAULT_SUBSET_SUMS_CAP) -> bool:
         """Whether the subset sums are equal, compared in their encoding
@@ -391,7 +395,7 @@ class Multiset:
     def to_obj(self) -> dict:
         return {
             "group": self.group.to_obj(),
-            "elements": [[x.to_obj(), m] for x, m in self.items()],
+            "elements": [[list(x), m] for x, m in self._mult.items()],
         }
 
     @classmethod
@@ -415,7 +419,7 @@ class Multiset:
             if type(count) is not int or count < 0:
                 raise DomainError(f"{at}[1]: count {count!r} is not a nonnegative integer")
             try:
-                pairs.append((group.element(coords), count))
+                pairs.append((group.reduce(coords), count))
             except DomainError as exc:
                 raise DomainError(f"{at}[0]: {exc}") from None
         return cls(group, pairs)
@@ -482,7 +486,7 @@ def _flip_form(mods: Sequence[int], items: Iterable[tuple[tuple, int]]) -> tuple
 
 
 def _form(ms: Multiset) -> tuple[tuple, frozenset]:
-    return _flip_form(ms.group.moduli, [(x.coords, c) for x, c in ms.items()])
+    return _flip_form(ms.group.moduli, ms._mult.items())
 
 
 def sim_check(a: Multiset, b: Multiset) -> bool:
@@ -503,7 +507,7 @@ def sim0_check(a: Multiset, b: Multiset) -> tuple[bool, Sim0Witness | None]:
     if form_a != form_b:
         return False, None
     bm = b._mult
-    counts = {x.coords: c - bm.get(x, 0) for x, c in a._mult.items() if c > bm.get(x, 0)}
+    counts = {x: c - bm.get(x, 0) for x, c in a._mult.items() if c > bm.get(x, 0)}
     counts.update(dict.fromkeys(used_a ^ used_b, 1))  # the frees, by their coordinates
     flip = Multiset(a.group, counts)
     return True, Sim0Witness(flip_set=flip, sum_check=flip.total())

@@ -99,20 +99,17 @@ def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multis
             f"preimage search capped at size {DEFAULT_SUBSET_SUMS_CAP}, need {m}"
         )
 
-    candidates = [
-        x for x in target.support()
-        if bound is None
-        or all(mod or -bound <= c <= bound for c, mod in zip(x.coords, group.moduli))
-    ]
-    peel = bool(group.moduli) and not any(group.moduli)
+    mods = group.moduli
+    candidates = [x for x in target._mult  # coordinates, in coordinate order
+                  if bound is None or all(q or -bound <= c <= bound for c, q in zip(x, mods))]
+    peel = bool(mods) and not any(mods)
     if peel:  # Over Z^k, by absolute value, -x before x.
-        candidates.sort(key=lambda x: (max(x.coords, (-x).coords), x.coords))
-        index = {x.coords: j for j, x in enumerate(candidates)}
+        candidates.sort(key=lambda x: (max(x, tuple([-c for c in x])), x))
+        index = {x: j for j, x in enumerate(candidates)}
     space = sums_space(group, m, levels=2 * m + 2)
-    shifts = [a.coords for a in candidates]
     # Elements of finite even order, whose quotient is not unique.
-    even = [all(c == 0 for c, q in zip(a.coords, group.moduli) if not q)
-            and any(q // math.gcd(c, q) % 2 == 0 for c, q in zip(a.coords, group.moduli) if q)
+    even = [all(c == 0 for c, q in zip(a, mods) if not q)
+            and any(q // math.gcd(c, q) % 2 == 0 for c, q in zip(a, mods) if q)
             for a in candidates]
 
     def children(node, i):
@@ -126,11 +123,11 @@ def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multis
                          if index.get(g, -1) >= i})
         for j in js:
             if even[j]:
-                q, s = quotient, space.step(sums, shifts[j])
+                q, s = quotient, space.step(sums, candidates[j])
             # Q is the subset sums of the rest of a preimage times those of
             # the node's even elements, so it holds each element of the rest.
-            elif space.count(quotient, shifts[j]):
-                q, s = space.divide(quotient, shifts[j]), sums
+            elif space.count(quotient, candidates[j]):
+                q, s = space.divide(quotient, candidates[j]), sums
             else:
                 continue
             if q is not None and space.fits(s, q):
@@ -150,7 +147,7 @@ def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multis
                                    f"past the work cap {PREIMAGE_WORK_CAP}")
         if len(seq) == m:
             found.append(seq)
-    found.sort(key=lambda seq: sorted(x.coords for x in seq))
+    found.sort(key=sorted)
     return _flip_classes([Multiset.from_elements(group, seq) for seq in found])
 
 
@@ -256,29 +253,24 @@ def verify_add_subset_sums(group: GroupSpec, trials: int, seed: int = 0) -> bool
     elements = _bounded_elements(group, 2)
     space = sums_space(group, 7)  # |A| <= 4 and |B| <= 3
 
-    def small(k: int) -> list[Multiset]:
-        """The multisets of one or two of the first k elements."""
-        return [
-            Multiset.from_elements(group, combo)
-            for size in (1, 2)
-            for combo in itertools.combinations_with_replacement(elements[:k], size)
-        ]
+    def small(k: int) -> list[tuple]:
+        """The multisets of one or two of the first k elements, as coordinate tuples."""
+        return [combo for size in (1, 2)
+                for combo in itertools.combinations_with_replacement(elements[:k], size)]
 
-    def round_trip(a: Multiset, b: Multiset) -> bool:
-        v = space.encode(a)
-        for x, m in b.items():
-            v = space.step(v, x.coords, m)
-        for x, m in b.items():
-            for _ in range(m):
-                v = space.divide(v, x.coords)
-                if v is None:
-                    return False
-        return v == space.encode(a)
+    def round_trip(a: Sequence[tuple], b: Sequence[tuple]) -> bool:
+        v = start = space.encode(Multiset.from_elements(group, a))
+        for x in b:
+            v = space.step(v, x)
+        for x in b:
+            v = space.divide(v, x)
+            if v is None:
+                return False
+        return v == start
 
     # Exhaustive over the smallest shapes.
-    small_bs = [Multiset(group), *small(4)]
-    if not all(round_trip(a, b) for a in small(5) for b in small_bs):
+    if not all(round_trip(a, b) for a in small(5) for b in [(), *small(4)]):
         return False
     rng = random.Random(seed)
-    draw = lambda k: Multiset.from_elements(group, rng.choices(elements, k=k))
+    draw = lambda k: rng.choices(elements, k=k)
     return all(round_trip(draw(rng.randint(1, 4)), draw(rng.randint(0, 3))) for _ in range(trials))

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from fsrecon.errors import DomainError, ResourceCapError
-from fsrecon.groups import GroupSpec, cyclic
+from fsrecon.errors import DomainError, GroupMismatchError, ResourceCapError
+from fsrecon.groups import GroupElement, GroupSpec, cyclic
 from fsrecon.multisets import Multiset, VectorSums, sim0_check, sim_check, sums_space
 from oracles import (
     CountLists,
@@ -208,7 +208,7 @@ def test_count_vectors_match_the_list_oracle(moduli):
         assert Multiset(group, space.counts(v)) == Multiset(group, lists.counts(want))
         s, m = rng.choice(shifts), rng.randint(1, 3)
         w, want_w = space.step(v, s, m), lists.step(want, s, m)
-        assert space.counts(w) == {group.element(y): c for y, c in lists.counts(want_w).items()}
+        assert space.counts(w) == lists.counts(want_w)
         assert all(space.count(w, y) == lists.count(want_w, y) for y in shifts)
         assert space.fits(v, w) and space.fits(w, w)
         assert space.fits(w, v) == lists.fits(want_w, want)
@@ -218,7 +218,7 @@ def test_count_vectors_match_the_list_oracle(moduli):
             got, expect = space.divide(w, y), lists.divide(want_w, y)
             assert (got is None) == (expect is None), (a, s, m, y)
             if got is not None:
-                assert space.counts(got) == {group.element(x): c for x, c in lists.counts(expect).items()}
+                assert space.counts(got) == lists.counts(expect)
         for vec, plain in ((v, want), (w, want_w)):
             for other, other_plain in seen.items():
                 assert (space.key(vec) == space.key(other)) == (plain == other_plain)
@@ -237,7 +237,7 @@ def test_count_vectors_hold_counts_at_the_width_bound(moduli, size):
     zero, one = (0,) * len(moduli), (1,) * len(moduli)
     for y in (zero, one):
         v, want = space.step(space.start, y, size), lists.step(lists.start, y, size)
-        assert space.counts(v) == {group.element(x): c for x, c in lists.counts(want).items()}
+        assert space.counts(v) == lists.counts(want)
         assert space.count(v, zero) == want[0] and max(want) <= 2**size
         fewer = space.step(space.start, y, size - 1)
         assert space.fits(v, v) and space.fits(fewer, v) and not space.fits(v, fewer)
@@ -401,6 +401,60 @@ def test_json_round_trip_and_stability():
 def test_rejects_wrong_group_elements():
     with pytest.raises(DomainError):
         Multiset(Z5, {Z3.element((1,)): 1})
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[((1.5,), 1.9)], [(("3",), "2")], [((None,), 1)], [((2.0,), 1)], [((1,), 1.9)],
+     [((1,), "2")], [((1,), None)], [(2.0, 1)]],
+    ids=["float", "str", "none", "integral-float", "float-count", "str-count", "none-count",
+         "float-key"],
+)
+def test_rejects_non_integer_coordinates_and_counts(pairs):
+    """Coordinates and counts are integers, never converted from anything
+    else: each of these raises DomainError, not a bare TypeError, and so
+    does ``GroupSpec.element`` on each bad coordinate sequence or non-sequence."""
+    with pytest.raises(DomainError):
+        Multiset(Z5, pairs)
+    (coords, _), = pairs
+    if coords != (1,):
+        with pytest.raises(DomainError):
+            Z5.element(coords)
+
+
+def test_multiset_keys_are_canonical_coordinates():
+    """Elements, coordinate tuples and lists, and ints on a one-factor group
+    key one multiset, with non-canonical coordinates reduced; the public
+    accessors still give elements of the group, in coordinate order."""
+    two, four = Z5.element((2,)), Z5.element((4,))
+    forms = [
+        {two: 2, four: 1},
+        {(7,): 2, (-1,): 1},
+        [([2], 1), ([-3], 1), ([9], 1)],
+        [(7, 1), (-3, 1), (4, 1)],
+        [(two, 1), ((7,), 1), (-1, 1)],
+    ]
+    sets = [Multiset(Z5, form) for form in forms]
+    assert all(a == sets[0] and hash(a) == hash(sets[0]) for a in sets)
+    a = sets[1]
+    assert a.support() == [two, four] and all(type(x) is GroupElement for x in a.support())
+    assert a.items() == [(two, 2), (four, 1)] and all(x.group == Z5 for x, _ in a.items())
+    assert all(a.multiplicity(key) == 2 for key in (two, (7,), [-3], 12, (2,)))
+    assert a.multiplicity((3,)) == 0
+    assert type(a.total()) is GroupElement and a.total() == Z5.element((3,))
+
+    g = GroupSpec((0, 3))
+    want = Multiset(g, {g.element((-5, 0)): 1, g.element((-2, 1)): 1, g.element((3, 2)): 2})
+    assert Multiset(g, {(-2, 4): 1, (3, -1): 2, (-5, 6): 1}) == want
+    assert Multiset(g, [([3, 5], 1), ([-5, -3], 1), ([-2, 1], 1), ((3, 2), 1)]) == want
+    assert [x.coords for x in want.support()] == [(-5, 0), (-2, 1), (3, 2)]
+    assert all(x.group == g for x in want.support())
+    assert want.multiplicity([3, -4]) == 2 and want.total() == g.element((-1, 2))
+
+    with pytest.raises(GroupMismatchError):
+        Multiset(Z5, {Z3.element((1,)): 1})
+    with pytest.raises(GroupMismatchError):
+        a.multiplicity(cyclic(7).element((2,)))
 
 
 def test_sim0_decides_thirty_one_free_elements_quickly():
