@@ -128,7 +128,7 @@ def _cmd_radon(args) -> int:
         return 0 if ok else 1
     cls = radon.FunctionTable if args.action == "forward" else radon.RadonImage
     with open(args.infile, encoding="utf-8") as fh:  # from_obj decodes the text itself
-        doc = _decode(cls.from_obj, fh.read())
+        doc = _decode(lambda f: cls.from_obj(f.read()), fh)
     if args.action == "invert":
         _write_text(args.out, radon.invert(doc).to_json())
         return 0
@@ -311,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -328,30 +328,19 @@ def projection_surjectivity_check(n: int) -> dict:
     if n > RANK_CAP:
         raise ResourceCapError(f"surjectivity check capped at {RANK_CAP}")
     divs = divisors(n)
-    offsets = {}
-    total = 0
-    for d in divs:
-        offsets[d] = total
-        total += d
-    image_cols = []
-    for j in range(n):
-        col = [0] * total
-        for d in divs:
-            col[offsets[d] + (j % d)] = 1
-        image_cols.append(col)
-    relation_cols = []
-    for d in divs:
-        for p in prime_factors(d):
-            for j in range(d // p):
-                rel = distribution_relation_vector(d, p, j)
-                col = [0] * total
-                for i, e in enumerate(rel):
-                    col[offsets[d] + i] = e
-                relation_cols.append(col)
+
+    def block(d: int, v: Sequence[int]) -> list[int]:
+        """v in divisor d's space, zero in the others."""
+        return [x for c in divs for x in (v if c == d else [0] * c)]
+
+    image_cols = [[x for d in divs for x in fold_exponents(n, d, e)]
+                  for e in ([int(i == j) for i in range(n)] for j in range(n))]
+    relation_cols = [block(d, distribution_relation_vector(d, p, j))
+                     for d in divs for p in prime_factors(d) for j in range(d // p)]
     rank_stacked = _exact_rank(image_cols + relation_cols)
     rank_relations = _exact_rank(relation_cols)
     rank = rank_stacked - rank_relations
-    codomain_dim = total - rank_relations
+    codomain_dim = sum(divs) - rank_relations
     return {
         "n": n,
         "rank": rank,

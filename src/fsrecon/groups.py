@@ -23,7 +23,10 @@ class GroupSpec:
     __slots__ = ("moduli",)
 
     def __init__(self, moduli: Sequence[int]):
-        mods = tuple(int(m) for m in moduli)
+        try:
+            mods = tuple(map(operator.index, moduli))
+        except TypeError:
+            raise DomainError(f"moduli {moduli!r} are not a sequence of integers") from None
         if any(m < 0 for m in mods):
             raise DomainError(f"moduli must be nonnegative, got {mods}")
         object.__setattr__(self, "moduli", mods)
@@ -76,6 +79,13 @@ class GroupSpec:
         except TypeError:
             raise DomainError(f"coordinates {coords!r} are not a sequence of integers") from None
         raise DomainError(f"expected {len(mods)} coordinates, got {len(coords)}")
+
+    def order(self, coords: Sequence[int]) -> int:
+        """The order of the element with these coordinates: the least k >= 1
+        with k*x = 0, or 0 when x has a nonzero Z coordinate."""
+        # A Z factor gives 1 at 0 and 0 elsewhere, which makes the lcm 0.
+        return math.lcm(*[m // math.gcd(c, m) if m else int(not c)
+                          for c, m in zip(self.reduce(coords), self.moduli)])
 
     def to_obj(self) -> dict:
         return {"moduli": list(self.moduli)}
@@ -149,6 +159,3 @@ class GroupElement:
         if not isinstance(k, int):
             return NotImplemented
         return GroupElement([k * c for c in self.coords], self.group)
-
-    def to_obj(self) -> list[int]:
-        return list(self.coords)

@@ -193,7 +193,7 @@ class VectorSums:
         odd j, and in [-2^(size-1), 2^size], as p's counts total at most
         2^(size-1); a slot holds it above a bias of a quarter of its range.
         Otherwise a slot may overflow, so p is checked by stepping it back."""
-        order = math.lcm(*[q // math.gcd(c, q) for q, c in zip(self.group.moduli, shift)])
+        order = self.group.order(shift)
         bias = self._guards >> 1
         x, j = v + bias, 1
         for bit in bin(order)[3:]:
@@ -273,7 +273,7 @@ class Multiset:
     positive counts; every key from outside passes ``_coerce``, and only
     ``support``, ``items`` and ``total`` build ``GroupElement``s."""
 
-    __slots__ = ("group", "_mult", "_hash")
+    __slots__ = ("group", "_mult")
 
     def __init__(self, group: GroupSpec, counts: Mapping | Iterable | None = None):
         store: dict[tuple, int] = {}
@@ -289,7 +289,6 @@ class Multiset:
                 store[x] = store.get(x, 0) + m
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "_mult", dict(sorted(store.items())))
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multiset is immutable")
@@ -319,11 +318,7 @@ class Multiset:
         return self.group == other.group and self._mult == other._mult
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.group.moduli, frozenset(self._mult.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.group.moduli, frozenset(self._mult.items())))
 
     def __repr__(self) -> str:
         inner = ", ".join(

@@ -1,5 +1,5 @@
-"""Brute-force oracles: exhaustive multiset enumeration, subset-sums
-inversion by pruned search, and empirical regularity scans.
+"""Brute-force oracles: subset-sums inversion by pruned search, empirical
+regularity scans, and a check that multiplying by subset sums is injective.
 
 A group is "regular" for this purpose when equal subset sums force zero-flip
 equivalence; the scanner reports every violating pair it finds, re-verified
@@ -10,9 +10,9 @@ evidence rather than exhaustive.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import random
+from collections import Counter
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, ResourceCapError
@@ -20,6 +20,7 @@ from .groups import GroupSpec
 from .multisets import DEFAULT_SUBSET_SUMS_CAP, Multiset, _flip_form, _form, sums_space
 
 __all__ = [
+    "MAX_VIOLATIONS",
     "PREIMAGE_WORK_CAP",
     "ScanReport",
     "fs_preimages",
@@ -31,6 +32,8 @@ __all__ = [
 # Most work a preimage search may do: the sum of the quotient lengths of the
 # nodes it visits, which a second of walking reaches.
 PREIMAGE_WORK_CAP = 400_000
+# Most violating pairs a scan builds; Z/2 at size 200 has 1,333,300.
+MAX_VIOLATIONS = 2**20
 
 
 def _bounded_elements(
@@ -108,9 +111,7 @@ def fs_preimages(target: Multiset, bound: int | None = None) -> list[list[Multis
         index = {x: j for j, x in enumerate(candidates)}
     space = sums_space(group, m, levels=2 * m + 2)
     # Elements of finite even order, whose quotient is not unique.
-    even = [all(c == 0 for c, q in zip(a, mods) if not q)
-            and any(q // math.gcd(c, q) % 2 == 0 for c, q in zip(a, mods) if q)
-            for a in candidates]
+    even = [o > 0 and o % 2 == 0 for o in map(group.order, candidates)]
 
     def children(node, i):
         quotient, sums = node
@@ -202,7 +203,8 @@ def regularity_scan(
     over the finite group with each Z made Z/window, which the buckets are
     keyed on.  The scan walks the multisets depth first, each one extending
     the subset sums of its prefix, so when the budget runs out no size has
-    been fully checked; the report is then flagged non-exhaustive.
+    been fully checked; the report is then flagged non-exhaustive.  A scan
+    stops before it builds more than MAX_VIOLATIONS violating pairs.
     """
     if max_size < 1:
         raise DomainError(f"the scan needs a maximum size of at least 1, got {max_size}")
@@ -227,17 +229,23 @@ def regularity_scan(
     report.checked = sum(map(len, buckets.values()))
     report.exhaustive = group.is_finite() and next(nodes, None) is None
     # Only the members of a bucket with two flip forms become multisets.
-    violations = []
+    violations, count = [], 0
     for members in buckets.values():
         if len(members) < 2:
             continue
         label = [_flip_form(group.moduli, [(y, 1) for y in seq])[0] for seq in members]
-        if len(set(label)) > 1:
+        forms = Counter(label)
+        if len(forms) > 1:
+            count += (len(members) ** 2 - sum(k * k for k in forms.values())) // 2
+            if count > MAX_VIOLATIONS:
+                raise ResourceCapError(f"the scan found more than {MAX_VIOLATIONS} "
+                                       "violating pairs, the most it reports")
             sets = [Multiset.from_elements(group, seq) for seq in members]
-            pairs = itertools.combinations(zip(sets, label), 2)
-            violations += [(a, b) for (a, la), (b, lb) in pairs if la != lb]
-    violations.sort(key=lambda pair: (pair[0].to_json(), pair[1].to_json()))
-    report.violations = violations
+            keyed = zip([m.to_json() for m in sets], sets, label)
+            violations += [(ja, jb, a, b) for (ja, a, la), (jb, b, lb)
+                           in itertools.combinations(keyed, 2) if la != lb]
+    violations.sort(key=lambda v: v[:2])
+    report.violations = [v[2:] for v in violations]
     return report
 
 

@@ -344,6 +344,21 @@ def ord_oracle(a: int, n: int) -> int:
     return k
 
 
+def element_order_oracle(x: GroupElement) -> int:
+    """Least k >= 1 with k*x = 0, by adding x until 0 recurs; 0 when no k up
+    to the product of the finite moduli works, which the order of any
+    element of finite order divides."""
+    limit = 1
+    for m in x.group.moduli:
+        limit *= m or 1
+    k, v = 1, x
+    while not is_zero(v):
+        if k == limit:
+            return 0
+        k, v = k + 1, v + x
+    return k
+
+
 def field_mul_oracle(n: int, a, b) -> tuple:
     """a * b in the n-th cyclotomic field, for coefficient sequences a and b
     of any length (low to high): the schoolbook product, reduced by long

@@ -16,7 +16,7 @@ import pytest
 from oracles import table_from_values
 
 import fsrecon
-from fsrecon import cli, cyclo
+from fsrecon import cyclo, ofs
 from fsrecon.cli import main
 from fsrecon.groups import GroupSpec, cyclic
 from fsrecon.multisets import Multiset
@@ -549,10 +549,10 @@ def test_unreadable_and_unwritable_files_exit_2(tmp_path, capsys, case):
 def test_unexpected_exception_exits_2_not_1(capsys, monkeypatch):
     # Exit 1 means "verdict false"; an exception no handler names must not
     # reach it, nor give a traceback.
-    def broken(args):
+    def broken(n):
         raise RuntimeError("unexpected\nstate")
 
-    monkeypatch.setitem(cli._DISPATCH, "ofs", broken)
+    monkeypatch.setattr(ofs, "is_member", broken)
     code = main(["ofs", "test", "15"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -852,6 +852,18 @@ def test_search_invert_fs_past_the_work_cap_exits_3(tmp_path, capsys):
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("resource error: preimage search stopped after ")
     assert captured.err.count("\n") == 1 and " nodes" in captured.err
+
+
+def test_search_scan_past_the_violation_cap_exits_3(capsys):
+    # 1,268,132 violating pairs against the cap of 2**20; building them all
+    # ran out of memory under a 1.5 GB address-space limit.
+    start = time.perf_counter()
+    code = main(["search", "scan", "--group", '{"moduli":[2,2]}', "--max-size", "16"])
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource error: the scan found more than 1048576 ")
+    assert captured.err.count("\n") == 1
 
 
 def test_selftest_quick(capsys):

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from fsrecon.errors import DomainError, GroupMismatchError
 from fsrecon.groups import GroupElement, GroupSpec, cyclic
-from oracles import iter_elements
+from oracles import element_order_oracle, iter_elements
 
 Z = cyclic(0)
 Z5 = cyclic(5)
@@ -105,8 +106,20 @@ def test_enumerate_infinite_unsupported():
 
 
 def test_invalid_moduli():
+    for moduli in [(3, -1), (1.5,), ("3",), ("x",), None]:
+        with pytest.raises(DomainError):
+            GroupSpec(moduli)
+
+
+@pytest.mark.parametrize("moduli", [(), (1,), (12,), (0,), (4, 6), (0, 3), (2, 0, 9), (8, 0, 0)])
+def test_order_matches_the_repeated_sum_oracle(moduli):
+    group = GroupSpec(moduli)
+    box = [range(m) if m else range(-2, 3) for m in moduli]
+    for coords in itertools.product(*box):
+        x = group.element(coords)
+        assert group.order(coords) == element_order_oracle(x), x
     with pytest.raises(DomainError):
-        GroupSpec((3, -1))
+        group.order((0,) * (len(moduli) + 1))
 
 
 def test_two_torsion():
