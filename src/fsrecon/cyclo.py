@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -71,7 +70,6 @@ UNIT_WORD_CAP = 2**32
 RANK_PRECISION_BITS = 100
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, low to high.
 

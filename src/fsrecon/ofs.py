@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceCapError
@@ -58,6 +57,8 @@ def _is_prime(n: int) -> bool:
     2^s t, t odd, each base a must have a^t = 1 or a^(2^r t) = -1 for an r < s."""
     if n < 2 or any(n % p == 0 for p in _SMALL_PRIMES):
         return n in _SMALL_PRIMES
+    if n < 41 * 41:  # no prime up to 37, so none up to its root, divides it
+        return True
     s = ((n - 1) & (1 - n)).bit_length() - 1
     t = (n - 1) >> s
     return all(
@@ -82,7 +83,6 @@ def _prime_parts(n: int) -> list[int]:
             return _prime_parts(g) + _prime_parts(n // g)
 
 
-@lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization as ((p, exponent), ...), p ascending: the small
     primes by trial division, the rest by `_prime_parts`."""
@@ -118,19 +118,23 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def ord_mod(a: int, n: int) -> int:
-    """Least k >= 1 with a^k = 1 mod n; a must be coprime to n.  The order
-    divides phi(n), so starting from k = phi(n), each prime p of phi(n) is
-    divided out of k while a^(k/p) = 1 still holds."""
-    if n < 1:
-        raise DomainError(f"modulus must be positive, got {n}")
-    if math.gcd(a, n) != 1:
-        raise DomainError(f"{a} is not invertible mod {n}")
-    k = totient(n)
+def _order_dividing(a: int, n: int, k: int) -> int:
+    """The order of a mod n, given a multiple k of it: starting from k, each
+    prime p of k is divided out while a^(k/p) = 1 still holds."""
     for p in prime_factors(k):
         while k % p == 0 and pow(a, k // p, n) == 1:
             k //= p
     return k
+
+
+def ord_mod(a: int, n: int) -> int:
+    """Least k >= 1 with a^k = 1 mod n; a must be coprime to n.  The order
+    divides phi(n)."""
+    if n < 1:
+        raise DomainError(f"modulus must be positive, got {n}")
+    if math.gcd(a, n) != 1:
+        raise DomainError(f"{a} is not invertible mod {n}")
+    return _order_dividing(a, n, totient(n))
 
 
 class OfsVerdict(NamedTuple):
@@ -155,7 +159,7 @@ def is_member(n: int) -> OfsVerdict:
     """Order-criterion membership test; see the module docstring."""
     _require_odd(n)
     phi = totient(n)
-    e = ord_mod(2, n)
+    e = _order_dividing(2, n, phi)
     if e == phi:
         return OfsVerdict(n, True, e, phi, BRANCH_FULL_ORDER)
     if 2 * e == phi:

@@ -233,14 +233,16 @@ def regularity_scan(
     for members in buckets.values():
         if len(members) < 2:
             continue
-        label = [_flip_form(group.moduli, [(y, 1) for y in seq])[0] for seq in members]
+        # The walk's sequences are nondecreasing, so equal elements are adjacent.
+        runs = [[(y, len(list(g))) for y, g in itertools.groupby(seq)] for seq in members]
+        label = [_flip_form(group.moduli, r)[0] for r in runs]
         forms = Counter(label)
         if len(forms) > 1:
             count += (len(members) ** 2 - sum(k * k for k in forms.values())) // 2
             if count > MAX_VIOLATIONS:
                 raise ResourceCapError(f"the scan found more than {MAX_VIOLATIONS} "
                                        "violating pairs, the most it reports")
-            sets = [Multiset.from_elements(group, seq) for seq in members]
+            sets = [Multiset(group, r) for r in runs]
             keyed = zip([m.to_json() for m in sets], sets, label)
             violations += [(ja, jb, a, b) for (ja, a, la), (jb, b, lb)
                            in itertools.combinations(keyed, 2) if la != lb]

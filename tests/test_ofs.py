@@ -46,6 +46,12 @@ def test_factorize_matches_trial_division_below_5000():
         assert factorize(n) == factorize_oracle(n), n
 
 
+@pytest.mark.parametrize("n", [41**2, 41 * 43, 43**2, 3 * 41**2, 37 * 41 * 43, 1679, 1683])
+def test_factorize_at_41_squared(n):
+    """Past 41^2, a number that no prime up to 37 divides may be composite."""
+    assert factorize(n) == factorize_oracle(n)
+
+
 def _prime_near(rng, bits):
     """A random prime of about `bits` bits, certified by trial division."""
     while True:
@@ -130,6 +136,13 @@ def test_membership_branches():
     for n in range(1, 400, 2):
         v = is_member(n)
         assert v.phi % v.ord2 == 0
+
+
+def test_verdict_order_and_totient_match_oracles():
+    for n in range(1, 3002, 2):
+        v = is_member(n)
+        assert v.ord2 == ord_oracle(2, n), n
+        assert v.phi == totient(n) == sum(math.gcd(k, n) == 1 for k in range(n)), n
 
 
 def test_membership_domain_errors():
